@@ -23,9 +23,46 @@ use crate::config::{thread_range, RunConfig};
 use accordion_sim::fault::CorruptionMode;
 use accordion_sim::workload::Workload;
 use accordion_stats::metrics::ssim;
+use std::collections::HashMap;
+use std::sync::{Mutex, OnceLock};
 use transform::{dct2, dequantize, idct2, quantize};
 
 const MB: usize = 8;
+
+/// Most problem sizes the process-wide [`SizeMemo`] keeps. The knobs
+/// reached in-tree (the sweep, the default and hyper QPs, and
+/// `knob_for_size`'s interpolated probes) number about 60; once full,
+/// the memo stops inserting and further new knobs encode per call.
+const SIZE_MEMO_CAP: usize = 128;
+
+/// Problem sizes measured on the clean encode, keyed by
+/// `(side, frames, qp.to_bits())`. The encode is a pure function of
+/// that key, so an entry is never stale.
+#[derive(Default)]
+struct SizeMemo(Mutex<HashMap<(usize, usize, u64), f64>>);
+
+impl SizeMemo {
+    fn problem_size(&self, app: &X264, qp: f64) -> f64 {
+        let key = (app.side, app.frames, qp.to_bits());
+        if let Some(&size) = self.0.lock().expect("x264 size memo lock").get(&key) {
+            return size;
+        }
+        // Encode outside the lock so distinct knobs encode
+        // concurrently; a racing duplicate encode is deterministic, so
+        // whichever insertion wins, the size is the same.
+        let size = app.clean_encode_size(qp);
+        let mut map = self.0.lock().expect("x264 size memo lock");
+        if map.len() < SIZE_MEMO_CAP {
+            map.insert(key, size);
+        }
+        size
+    }
+}
+
+fn size_memo() -> &'static SizeMemo {
+    static MEMO: OnceLock<SizeMemo> = OnceLock::new();
+    MEMO.get_or_init(SizeMemo::default)
+}
 
 /// The x264 kernel configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,6 +115,21 @@ impl X264 {
         (self.side / MB) * (self.side / MB)
     }
 
+    /// Encoding work at quantizer `qp`: a constant per-macroblock floor
+    /// (motion search + transforms) plus coefficient-coding work that
+    /// tracks the retained-coefficient count, measured on the clean
+    /// deterministic encode — a pure function of `(side, frames, qp)`,
+    /// which is what lets [`SizeMemo`] keep it. The QP dependence is
+    /// the paper's Table 3 "complex": it flattens at coarse quantizers
+    /// (the floor) and steepens at fine ones.
+    fn clean_encode_size(&self, qp: f64) -> f64 {
+        const MB_BASE_WORK: f64 = 64.0;
+        const COEF_WORK: f64 = 16.0;
+        let (_, nz) = self.encode(qp, &RunConfig::default_run(1));
+        let mbs_total = (self.frames * self.macroblocks_per_frame()) as f64;
+        mbs_total * MB_BASE_WORK + nz as f64 * COEF_WORK
+    }
+
     /// Encodes the clip, returning `(reconstruction, nonzero_coeffs)`.
     fn encode(&self, qp: f64, cfg: &RunConfig) -> (Vec<f64>, usize) {
         let n = self.side;
@@ -100,8 +152,6 @@ impl X264 {
         for f in 0..self.frames {
             let src = self.source_frame(f);
             for t in 0..cfg.threads {
-                let (m0, m1) = thread_range(mbs, cfg.threads, t);
-                let _ = (m0, m1);
                 let dropped = cfg.is_dropped(t);
                 for m in (0..mbs).filter(|m| owner_of[(m + f * 7) % mbs] == t) {
                     let bx = (m % mb_per_row) * MB;
@@ -204,17 +254,7 @@ impl RmsApp for X264 {
     }
 
     fn problem_size(&self, knob: f64) -> f64 {
-        // Encoding work = a constant per-macroblock floor (motion
-        // search + transforms) plus coefficient-coding work that
-        // tracks the retained-coefficient count, measured on the clean
-        // deterministic encode — a pure function of the knob. The QP
-        // dependence is the paper's Table 3 "complex": it flattens at
-        // coarse quantizers (the floor) and steepens at fine ones.
-        const MB_BASE_WORK: f64 = 64.0;
-        const COEF_WORK: f64 = 16.0;
-        let (_, nz) = self.encode(knob, &RunConfig::default_run(1));
-        let mbs_total = (self.frames * self.macroblocks_per_frame()) as f64;
-        mbs_total * MB_BASE_WORK + nz as f64 * COEF_WORK
+        size_memo().problem_size(self, knob)
     }
 
     fn run(&self, knob: f64, cfg: &RunConfig) -> Vec<f64> {
@@ -313,5 +353,57 @@ mod tests {
         let a = app();
         let cfg = RunConfig::default_run(16);
         assert_eq!(a.run(20.0, &cfg), a.run(20.0, &cfg));
+    }
+
+    #[test]
+    fn memoized_size_equals_a_direct_encode_cold_and_warm() {
+        let a = app();
+        let mut knobs = a.knob_sweep();
+        knobs.extend([a.default_knob(), a.hyper_knob()]);
+        // A private memo starts empty, so its first call is cold.
+        let memo = SizeMemo::default();
+        for qp in knobs {
+            let direct = a.clean_encode_size(qp).to_bits();
+            assert_eq!(memo.problem_size(&a, qp).to_bits(), direct, "cold QP {qp}");
+            assert_eq!(memo.problem_size(&a, qp).to_bits(), direct, "warm QP {qp}");
+            assert_eq!(a.problem_size(qp).to_bits(), direct, "process memo QP {qp}");
+            assert_eq!(a.problem_size(qp).to_bits(), direct, "process memo QP {qp}");
+        }
+    }
+
+    #[test]
+    fn other_geometries_get_their_own_sizes() {
+        let paper = app();
+        let small = X264 {
+            side: 32,
+            frames: 3,
+        };
+        for qp in small.knob_sweep() {
+            let size = small.problem_size(qp);
+            assert_eq!(size.to_bits(), small.clean_encode_size(qp).to_bits());
+            assert!(size < paper.problem_size(qp), "QP {qp}: stale paper size");
+        }
+    }
+
+    #[test]
+    fn memo_stays_bounded_and_exact_past_its_capacity() {
+        let tiny = X264 {
+            side: 16,
+            frames: 2,
+        };
+        let memo = SizeMemo::default();
+        let knobs: Vec<f64> = (0..SIZE_MEMO_CAP + 16)
+            .map(|i| 1.0 + i as f64 * 0.25)
+            .collect();
+        for _pass in 0..2 {
+            for &qp in &knobs {
+                assert_eq!(
+                    memo.problem_size(&tiny, qp).to_bits(),
+                    tiny.clean_encode_size(qp).to_bits(),
+                    "QP {qp}"
+                );
+            }
+            assert_eq!(memo.0.lock().unwrap().len(), SIZE_MEMO_CAP);
+        }
     }
 }

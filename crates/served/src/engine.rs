@@ -1018,23 +1018,33 @@ mod tests {
 
     #[test]
     fn sweep_matches_pointwise_simulate() {
-        let doc = json::parse(
-            r#"{"app": "hotspot", "topo": "small", "chips": 2, "pop_seed": 9103,
-                "size": [0.5, 1.0], "vdd_mv": [550, 600]}"#,
-        )
-        .unwrap();
-        let grid = sweep(&doc, 2).unwrap();
-        assert_eq!(grid.get("count").and_then(Json::as_f64), Some(4.0));
-        // Grid order is the vdd-major cross product; each entry equals
-        // the scalar endpoint's answer for the same parameters.
-        let mut q = query(r#"{"app": "hotspot", "topo": "small", "chips": 2, "pop_seed": 9103}"#);
-        q.vdd_mv = Some(550.0);
-        q.size = 0.5;
-        let lone = simulate(&q).unwrap().render();
-        let first = match grid.get("grid") {
-            Some(Json::Arr(items)) => items[0].render(),
-            _ => panic!("grid missing"),
-        };
-        assert_eq!(lone, first);
+        for app in ["hotspot", "x264"] {
+            let doc = json::parse(&format!(
+                r#"{{"app": "{app}", "topo": "small", "chips": 2, "pop_seed": 9103,
+                    "size": [0.5, 1.0], "vdd_mv": [550, 600]}}"#
+            ))
+            .unwrap();
+            let grid = sweep(&doc, 2).unwrap();
+            assert_eq!(grid.get("count").and_then(Json::as_f64), Some(4.0));
+            let Some(Json::Arr(items)) = grid.get("grid") else {
+                panic!("grid missing");
+            };
+            // Grid order is the vdd-major cross product; each entry
+            // equals the scalar endpoint's answer for the same
+            // parameters.
+            let mut q = query(&format!(
+                r#"{{"app": "{app}", "topo": "small", "chips": 2, "pop_seed": 9103}}"#
+            ));
+            let points = [(550.0, 0.5), (550.0, 1.0), (600.0, 0.5), (600.0, 1.0)];
+            for (item, (vdd_mv, size)) in items.iter().zip(points) {
+                q.vdd_mv = Some(vdd_mv);
+                q.size = size;
+                assert_eq!(
+                    simulate(&q).unwrap().render(),
+                    item.render(),
+                    "{app} at {vdd_mv} mV, size {size}"
+                );
+            }
+        }
     }
 }

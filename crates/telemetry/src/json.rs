@@ -195,12 +195,26 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded `[[[[…` document (the HTTP server
+/// accepts 1 MiB bodies) would overflow the parsing thread's stack and
+/// abort the process; past this depth [`parse`] returns a
+/// [`ParseError`] instead. Documents this workspace writes nest a few
+/// levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document; trailing whitespace is allowed, trailing
 /// garbage is not.
+///
+/// # Errors
+///
+/// A [`ParseError`] for malformed input, including nesting deeper than
+/// [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -214,6 +228,8 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -255,11 +271,26 @@ impl Parser<'_> {
             Some(b't') => self.eat_lit("true", Json::Bool(true)),
             Some(b'f') => self.eat_lit("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Runs `container` (an array or object parser) one level deeper,
+    /// refusing to go past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting deeper than MAX_DEPTH"));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -437,6 +468,32 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"open").is_err());
+    }
+
+    fn nested_arrays(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_at_max_depth_parses() {
+        assert!(parse(&nested_arrays(MAX_DEPTH)).is_ok());
+        let objects = "{\"k\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(parse(&objects).is_ok());
+    }
+
+    #[test]
+    fn nesting_past_max_depth_is_rejected() {
+        let err = parse(&nested_arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH, "{err}");
+        // Arrays and objects share one depth count.
+        let mixed = "[{\"k\":".repeat(MAX_DEPTH / 2) + "[]" + &"}]".repeat(MAX_DEPTH / 2);
+        assert!(parse(&mixed).is_err());
+    }
+
+    #[test]
+    fn a_megabyte_of_open_brackets_is_an_error_not_a_stack_overflow() {
+        let err = parse(&"[".repeat(1 << 20)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH, "{err}");
     }
 
     #[test]

@@ -585,51 +585,6 @@ impl Registry {
             .collect()
     }
 
-    /// Renders every metric as a plain-text exposition, one
-    /// `name value` line per sample in the Prometheus style (dots in
-    /// metric names are replaced with underscores; histogram and span
-    /// aggregates get `_count` / `_sum` / quantile suffixes). This is
-    /// what `accordion-served` returns from `GET /metrics`.
-    ///
-    /// ```
-    /// accordion_telemetry::registry::global()
-    ///     .counter("demo.exposition.hits")
-    ///     .inc();
-    /// let text = accordion_telemetry::registry::global().render_text();
-    /// assert!(text.contains("demo_exposition_hits 1"));
-    /// ```
-    pub fn render_text(&self) -> String {
-        use std::fmt::Write as _;
-        fn flat(name: &str) -> String {
-            name.replace(['.', '-'], "_")
-        }
-        let state = self.state.lock().expect("registry lock");
-        let mut out = String::new();
-        for (k, c) in &state.counters {
-            let _ = writeln!(out, "{} {}", flat(k), c.get());
-        }
-        for (k, g) in &state.gauges {
-            let _ = writeln!(out, "{} {}", flat(k), g.get());
-        }
-        for (k, h) in &state.histograms {
-            let s = h.snapshot();
-            let k = flat(k);
-            let _ = writeln!(out, "{k}_count {}", s.count);
-            let _ = writeln!(out, "{k}_sum {}", s.sum);
-            for (q, label) in [(0.5, "p50"), (0.95, "p95"), (0.99, "p99")] {
-                if let Some(v) = s.percentile(q) {
-                    let _ = writeln!(out, "{k}_{label} {v}");
-                }
-            }
-        }
-        for (k, sp) in &state.spans {
-            let k = flat(k);
-            let _ = writeln!(out, "{k}_calls {}", sp.calls());
-            let _ = writeln!(out, "{k}_total_ns {}", sp.total_ns());
-        }
-        out
-    }
-
     /// Renders every metric to a JSON object:
     ///
     /// ```json
@@ -788,26 +743,6 @@ mod tests {
         assert!(ours[0].name < ours[1].name, "sorted by name");
         assert_eq!(ours[0].calls, 1);
         assert_eq!(ours[0].total_ns, 20);
-    }
-
-    #[test]
-    fn text_exposition_lists_every_metric_kind() {
-        global().counter("test.expo.counter").add(7);
-        global().gauge("test.expo.gauge").set(1.25);
-        global()
-            .histogram("test.expo.hist", &[1.0, 10.0])
-            .record(3.0);
-        global().span_stats("test.expo.span").record_ns(42);
-        let text = global().render_text();
-        assert!(text.contains("test_expo_counter 7"));
-        assert!(text.contains("test_expo_gauge 1.25"));
-        assert!(text.contains("test_expo_hist_count 1"));
-        assert!(text.contains("test_expo_hist_sum 3"));
-        assert!(text.contains("test_expo_span_calls 1"));
-        // One sample per line, `name value`, no stray punctuation.
-        for line in text.lines() {
-            assert_eq!(line.split(' ').count(), 2, "line {line:?}");
-        }
     }
 
     #[test]

@@ -158,12 +158,13 @@ fi
 
 if [ "$fast" -eq 0 ]; then
     # Two passes pin the determinism contract of accordion-pool: the
-    # suite (golden snapshots included) must pass with the sequential
-    # path and with a saturated worker pool producing identical bytes.
-    echo "==> ACCORDION_JOBS=1 cargo test -q"
-    ACCORDION_JOBS=1 cargo test -q
-    echo "==> ACCORDION_JOBS=8 cargo test -q"
-    ACCORDION_JOBS=8 cargo test -q
+    # whole workspace suite (every crate's tests, golden snapshots
+    # included) must pass with the sequential path and with a saturated
+    # worker pool producing identical bytes.
+    echo "==> ACCORDION_JOBS=1 cargo test -q --workspace"
+    ACCORDION_JOBS=1 cargo test -q --workspace
+    echo "==> ACCORDION_JOBS=8 cargo test -q --workspace"
+    ACCORDION_JOBS=8 cargo test -q --workspace
 
     # Third pass with the SSE2 columnar kernels: the `simd` feature
     # must be drop-in — same artifacts, same bytes. The golden suite

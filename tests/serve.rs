@@ -15,7 +15,9 @@
 //!   is honored, and pipelined requests are answered in order,
 //! * slow-client isolation: a half-sent request neither delays a
 //!   well-behaved client nor holds its socket forever (408 eviction),
-//!   and a slow *reader* still receives a large response completely.
+//!   and a slow *reader* still receives a large response completely,
+//! * a body nested far deeper than any real request is a `400`, not
+//!   a stack overflow that takes the process down.
 //!
 //! The server resolves its parallelism from explicit `ServeConfig`
 //! fields (`request_jobs`), not the process-global `set_jobs`
@@ -518,6 +520,24 @@ fn fuzz_garbage_never_kills_the_server() {
         }
     }
     // Still alive and correct after the abuse.
+    assert!(get(addr, "/healthz").starts_with("HTTP/1.1 200"));
+    handle.shutdown();
+}
+
+#[test]
+fn deeply_nested_body_is_rejected_and_the_server_survives() {
+    let handle = server(2, 1);
+    let addr = handle.addr();
+    // 200k levels would overflow a worker's stack in a recursive
+    // parser and abort the whole process.
+    let depth = 200_000;
+    let body = "[".repeat(depth) + &"]".repeat(depth);
+    let reply = post(addr, "/v1/simulate", &body);
+    assert!(
+        reply.starts_with("HTTP/1.1 400"),
+        "deep body got: {}",
+        &reply[..reply.len().min(200)]
+    );
     assert!(get(addr, "/healthz").starts_with("HTTP/1.1 200"));
     handle.shutdown();
 }
