@@ -8,9 +8,9 @@
 
 use crate::app::RmsApp;
 use crate::config::RunConfig;
+use accordion_pool::Memo;
 use accordion_stats::interp::PiecewiseLinear;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, LazyLock};
 
 /// Execution scenario of a front.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,27 +102,17 @@ impl FrontSet {
     }
 
     /// [`Self::measure`], served from a process-wide cache keyed by
-    /// benchmark name. Front measurement runs the real kernels —
-    /// seconds of work that dominates multi-artifact runs when
-    /// repeated — and is a pure function of the app (the kernels are
-    /// internally seeded), so every caller can share one measurement.
+    /// benchmark name (`apps.front_cache`, 16 entries). Front
+    /// measurement runs the real kernels — seconds of work that
+    /// dominates multi-artifact runs when repeated — and is a pure
+    /// function of the app (the kernels are internally seeded), so
+    /// every caller can share one measurement. Distinct benchmarks
+    /// measure concurrently; concurrent callers of one benchmark wait
+    /// for its single measurement.
     pub fn measured(app: &dyn RmsApp) -> Arc<Self> {
-        static CACHE: OnceLock<Mutex<HashMap<String, Arc<FrontSet>>>> = OnceLock::new();
-        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        if let Some(set) = cache.lock().expect("front cache lock").get(app.name()) {
-            return set.clone();
-        }
-        // Measure outside the lock so distinct benchmarks measure
-        // concurrently; a racing duplicate measurement is
-        // deterministic, so whichever insertion wins, the set is the
-        // same.
-        let measured = Arc::new(Self::measure(app));
-        cache
-            .lock()
-            .expect("front cache lock")
-            .entry(app.name().to_string())
-            .or_insert(measured)
-            .clone()
+        static CACHE: LazyLock<Memo<String, Arc<FrontSet>>> =
+            LazyLock::new(|| Memo::new("apps.front_cache", 16));
+        CACHE.get_or_insert_with(app.name(), || Arc::new(Self::measure(app)))
     }
 
     /// Measures an explicit scenario list.

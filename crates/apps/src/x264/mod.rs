@@ -20,49 +20,29 @@ pub mod transform;
 
 use crate::app::RmsApp;
 use crate::config::{thread_range, RunConfig};
+use accordion_pool::Memo;
 use accordion_sim::fault::CorruptionMode;
 use accordion_sim::workload::Workload;
 use accordion_stats::metrics::ssim;
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::LazyLock;
 use transform::{dct2, dequantize, idct2, quantize};
 
 const MB: usize = 8;
 
-/// Most problem sizes the process-wide [`SizeMemo`] keeps. The knobs
-/// reached in-tree (the sweep, the default and hyper QPs, and
-/// `knob_for_size`'s interpolated probes) number about 60; once full,
-/// the memo stops inserting and further new knobs encode per call.
+/// Most problem sizes [`SIZE_MEMO`] keeps. The knobs reached in-tree
+/// (the sweep, the default and hyper QPs, and `knob_for_size`'s
+/// interpolated probes) number about 60; past 128 the least recently
+/// used size is evicted.
 const SIZE_MEMO_CAP: usize = 128;
 
-/// Problem sizes measured on the clean encode, keyed by
-/// `(side, frames, qp.to_bits())`. The encode is a pure function of
-/// that key, so an entry is never stale.
-#[derive(Default)]
-struct SizeMemo(Mutex<HashMap<(usize, usize, u64), f64>>);
+/// Key of a clean-encode problem size: `(side, frames, qp.to_bits())`.
+type SizeKey = (usize, usize, u64);
 
-impl SizeMemo {
-    fn problem_size(&self, app: &X264, qp: f64) -> f64 {
-        let key = (app.side, app.frames, qp.to_bits());
-        if let Some(&size) = self.0.lock().expect("x264 size memo lock").get(&key) {
-            return size;
-        }
-        // Encode outside the lock so distinct knobs encode
-        // concurrently; a racing duplicate encode is deterministic, so
-        // whichever insertion wins, the size is the same.
-        let size = app.clean_encode_size(qp);
-        let mut map = self.0.lock().expect("x264 size memo lock");
-        if map.len() < SIZE_MEMO_CAP {
-            map.insert(key, size);
-        }
-        size
-    }
-}
-
-fn size_memo() -> &'static SizeMemo {
-    static MEMO: OnceLock<SizeMemo> = OnceLock::new();
-    MEMO.get_or_init(SizeMemo::default)
-}
+/// Problem sizes measured on the clean encode, `apps.x264_size_cache`.
+/// The encode is a pure function of its key, so an entry is never
+/// stale; distinct knobs encode concurrently.
+static SIZE_MEMO: LazyLock<Memo<SizeKey, f64>> =
+    LazyLock::new(|| Memo::new("apps.x264_size_cache", SIZE_MEMO_CAP));
 
 /// The x264 kernel configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,7 +99,7 @@ impl X264 {
     /// (motion search + transforms) plus coefficient-coding work that
     /// tracks the retained-coefficient count, measured on the clean
     /// deterministic encode — a pure function of `(side, frames, qp)`,
-    /// which is what lets [`SizeMemo`] keep it. The QP dependence is
+    /// which is what lets [`SIZE_MEMO`] keep it. The QP dependence is
     /// the paper's Table 3 "complex": it flattens at coarse quantizers
     /// (the floor) and steepens at fine ones.
     fn clean_encode_size(&self, qp: f64) -> f64 {
@@ -128,6 +108,13 @@ impl X264 {
         let (_, nz) = self.encode(qp, &RunConfig::default_run(1));
         let mbs_total = (self.frames * self.macroblocks_per_frame()) as f64;
         mbs_total * MB_BASE_WORK + nz as f64 * COEF_WORK
+    }
+
+    /// [`Self::clean_encode_size`] through `memo`.
+    fn size_in(&self, memo: &Memo<SizeKey, f64>, qp: f64) -> f64 {
+        memo.get_or_insert_with(&(self.side, self.frames, qp.to_bits()), || {
+            self.clean_encode_size(qp)
+        })
     }
 
     /// Encodes the clip, returning `(reconstruction, nonzero_coeffs)`.
@@ -254,7 +241,7 @@ impl RmsApp for X264 {
     }
 
     fn problem_size(&self, knob: f64) -> f64 {
-        size_memo().problem_size(self, knob)
+        self.size_in(&SIZE_MEMO, knob)
     }
 
     fn run(&self, knob: f64, cfg: &RunConfig) -> Vec<f64> {
@@ -361,11 +348,11 @@ mod tests {
         let mut knobs = a.knob_sweep();
         knobs.extend([a.default_knob(), a.hyper_knob()]);
         // A private memo starts empty, so its first call is cold.
-        let memo = SizeMemo::default();
+        let memo = Memo::new("test.x264_size_cache.cold_warm", SIZE_MEMO_CAP);
         for qp in knobs {
             let direct = a.clean_encode_size(qp).to_bits();
-            assert_eq!(memo.problem_size(&a, qp).to_bits(), direct, "cold QP {qp}");
-            assert_eq!(memo.problem_size(&a, qp).to_bits(), direct, "warm QP {qp}");
+            assert_eq!(a.size_in(&memo, qp).to_bits(), direct, "cold QP {qp}");
+            assert_eq!(a.size_in(&memo, qp).to_bits(), direct, "warm QP {qp}");
             assert_eq!(a.problem_size(qp).to_bits(), direct, "process memo QP {qp}");
             assert_eq!(a.problem_size(qp).to_bits(), direct, "process memo QP {qp}");
         }
@@ -391,19 +378,22 @@ mod tests {
             side: 16,
             frames: 2,
         };
-        let memo = SizeMemo::default();
+        let memo = Memo::new("test.x264_size_cache.bounded", SIZE_MEMO_CAP);
         let knobs: Vec<f64> = (0..SIZE_MEMO_CAP + 16)
             .map(|i| 1.0 + i as f64 * 0.25)
             .collect();
         for _pass in 0..2 {
             for &qp in &knobs {
                 assert_eq!(
-                    memo.problem_size(&tiny, qp).to_bits(),
+                    tiny.size_in(&memo, qp).to_bits(),
                     tiny.clean_encode_size(qp).to_bits(),
                     "QP {qp}"
                 );
             }
-            assert_eq!(memo.0.lock().unwrap().len(), SIZE_MEMO_CAP);
+            assert_eq!(memo.len(), SIZE_MEMO_CAP);
         }
+        // Past capacity the memo evicts rather than refusing inserts.
+        let stats = memo.stats();
+        assert_eq!(stats.evictions, stats.misses - SIZE_MEMO_CAP as u64);
     }
 }

@@ -239,16 +239,33 @@ impl Chip {
     /// chip's `VddNTV`, accounting for each member core's leakage
     /// corner, plus the cluster's uncore share.
     pub fn cluster_power_w(&self, cluster: ClusterId, f_ghz: f64) -> f64 {
-        let vdd = self.vdd_ntv_v();
+        self.power_at_w([cluster], self.vdd_ntv_v(), f_ghz)
+    }
+
+    /// Power of `clusters` with every core active at `f_ghz` and
+    /// `vdd_v`: each core's variation-aware dynamic and leakage power,
+    /// then the cluster's uncore share, added to one running sum in the
+    /// order the clusters are given (the order fixes the result's low
+    /// bits, so callers that pin goldens keep theirs).
+    pub fn power_at_w(
+        &self,
+        clusters: impl IntoIterator<Item = ClusterId>,
+        vdd_v: f64,
+        f_ghz: f64,
+    ) -> f64 {
         let core_model = self.power.core_model();
+        let variation = &self.sample.variation;
+        let f_norm = f_ghz / self.fm.technology().f_nom_ghz;
         let mut total = 0.0;
-        for core in self.topo.cores_of(cluster) {
-            let dv = self.sample.variation.core_vth_delta_v[core.0];
-            let lm = self.sample.variation.core_leff_mult[core.0];
-            total += core_model.core_power(vdd, f_ghz, dv, lm).total_w();
+        for cluster in clusters {
+            for core in self.topo.cores_of(cluster) {
+                let dv = variation.core_vth_delta_v[core.0];
+                let lm = variation.core_leff_mult[core.0];
+                total += core_model.core_power(vdd_v, f_ghz, dv, lm).total_w();
+            }
+            total += self.power.cluster_uncore_w(vdd_v, f_norm);
         }
-        let tech = self.fm.technology();
-        total + self.power.cluster_uncore_w(vdd, f_ghz / tech.f_nom_ghz)
+        total
     }
 
     /// Cluster energy efficiency at its safe frequency, in

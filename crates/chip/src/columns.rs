@@ -135,40 +135,6 @@ impl ChipColumns {
     }
 }
 
-/// Columnar views of a whole population, index-aligned with the chip
-/// vector they were built from.
-#[derive(Debug, Clone)]
-pub struct PopulationColumns {
-    chips: Vec<ChipColumns>,
-}
-
-impl PopulationColumns {
-    /// Builds every chip's columns, fanning out across the pool (each
-    /// chip is independent; order is preserved by `par_map`).
-    pub fn build(chips: &[Chip]) -> Self {
-        Self {
-            chips: accordion_pool::par_map(chips.iter().collect::<Vec<_>>(), |chip| {
-                ChipColumns::build(chip)
-            }),
-        }
-    }
-
-    /// Columns of chip `index`.
-    pub fn chip(&self, index: usize) -> &ChipColumns {
-        &self.chips[index]
-    }
-
-    /// Population size.
-    pub fn len(&self) -> usize {
-        self.chips.len()
-    }
-
-    /// Whether the population is empty.
-    pub fn is_empty(&self) -> bool {
-        self.chips.is_empty()
-    }
-}
-
 /// One chip's timing context at one supply: the per-cluster timing
 /// objects, their columnar flattening, and the chip-wide safe
 /// frequency — everything a sweep can reuse across grid cells that
@@ -344,21 +310,5 @@ mod tests {
         // At VddNTV the context reuses the chip's own timing objects.
         let ntv = OperatingTimings::at(&chip, chip.vdd_ntv_v());
         assert_eq!(ntv.timings()[0], chip.sample().cluster_timing[0]);
-    }
-
-    #[test]
-    fn population_columns_align_with_chips() {
-        let chips: Vec<Chip> = (0..3).map(|i| Chip::fabricate_small(i).unwrap()).collect();
-        let pop = PopulationColumns::build(&chips);
-        assert_eq!(pop.len(), 3);
-        assert!(!pop.is_empty());
-        for (i, chip) in chips.iter().enumerate() {
-            assert_eq!(
-                pop.chip(i).safe_f_ghz(1).to_bits(),
-                ClusterSelection::select(chip, 1, COLUMNAR_POLICY)
-                    .safe_f_ghz()
-                    .to_bits()
-            );
-        }
     }
 }

@@ -50,7 +50,7 @@ pub mod thermal;
 pub mod topology;
 
 pub use chip::Chip;
-pub use columns::{ChipColumns, OperatingTimings, PopulationColumns};
+pub use columns::{ChipColumns, OperatingTimings};
 pub use power::ChipPowerModel;
 pub use selection::ClusterSelection;
 pub use topology::Topology;

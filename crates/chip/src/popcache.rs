@@ -12,41 +12,35 @@
 //! The cache key is `(topology, seed, count)`; the technology node and
 //! [`VariationParams`] are the paper defaults baked into
 //! [`Chip::fabricate_population`] (11 nm, Table 2), which is the only
-//! configuration the repro stack fabricates. Entries are evicted in
-//! least-recently-used order once [`CAPACITY`] populations are
-//! resident; an evicted population stays alive for as long as any
-//! caller still holds its `Arc`.
+//! configuration the repro stack fabricates. The cache is an
+//! [`accordion_pool::Memo`] named `chip.popcache`: least recently used
+//! populations are evicted once [`CAPACITY`] are resident (an evicted
+//! population stays alive for as long as any caller still holds its
+//! `Arc`), and concurrent misses on one key fabricate once.
 //!
-//! Hit/miss/eviction counts land in the telemetry registry under
+//! Hit/miss/join/eviction counts land in the telemetry registry under
 //! `chip.popcache.*`, so `GET /metrics` shows cache effectiveness.
 
 use crate::chip::Chip;
 use crate::topology::Topology;
+use accordion_pool::Memo;
 use accordion_stats::field::FieldError;
 use accordion_stats::rng::SeedStream;
-use accordion_telemetry::{counter, gauge};
 use accordion_varius::params::VariationParams;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, LazyLock};
 
 /// Maximum number of resident populations before LRU eviction.
 pub const CAPACITY: usize = 8;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct PopKey {
     topo: Topology,
     seed: u64,
     count: usize,
 }
 
-/// Most-recently-used entry last; `Vec` beats a map at this size and
-/// keeps the LRU order explicit.
-type Shelf = Vec<(PopKey, Arc<Vec<Chip>>)>;
-
-static CACHE: OnceLock<Mutex<Shelf>> = OnceLock::new();
-
-fn shelf() -> &'static Mutex<Shelf> {
-    CACHE.get_or_init(|| Mutex::new(Vec::new()))
-}
+static CACHE: LazyLock<Memo<PopKey, Arc<Vec<Chip>>, FieldError>> =
+    LazyLock::new(|| Memo::new("chip.popcache", CAPACITY));
 
 /// Returns chips `0..count` of the population `(topo, seed)`, reusing
 /// a cached population when one is resident.
@@ -56,9 +50,8 @@ fn shelf() -> &'static Mutex<Shelf> {
 /// the default [`VariationParams`] — byte-identical simulation results
 /// are preserved because the cache only memoizes, never re-seeds.
 /// Fabrication on a miss runs *outside* the cache lock, so concurrent
-/// warm lookups are never blocked behind a cold one; two concurrent
-/// misses on the same key may both fabricate, in which case the first
-/// insertion wins and both callers observe identical chips.
+/// warm lookups are never blocked behind a cold one; concurrent misses
+/// on the same key wait for one fabrication and share its `Arc`.
 ///
 /// # Errors
 ///
@@ -81,7 +74,8 @@ pub fn population(topo: Topology, seed: u64, count: usize) -> Result<Arc<Vec<Chi
 
 /// [`population`] plus whether the lookup was a cache hit — for
 /// callers (the serving access log) that report per-request cache
-/// effectiveness. `true` means the population was already resident.
+/// effectiveness. `true` means the population was already resident or
+/// fabricated by a concurrent lookup this one waited on.
 ///
 /// # Errors
 ///
@@ -91,79 +85,46 @@ pub fn population_with_status(
     seed: u64,
     count: usize,
 ) -> Result<(Arc<Vec<Chip>>, bool), FieldError> {
-    let key = PopKey { topo, seed, count };
-    if let Some(pop) = lookup(&key) {
-        counter!("chip.popcache.hits").inc();
-        return Ok((pop, true));
-    }
-    counter!("chip.popcache.misses").inc();
-    let chips = Chip::fabricate_population(
-        topo,
-        &VariationParams::default(),
-        SeedStream::new(seed),
-        0,
-        count,
-    )?;
-    Ok((insert(key, Arc::new(chips)), false))
+    CACHE.lookup(&PopKey { topo, seed, count }, || {
+        Chip::fabricate_population(
+            topo,
+            &VariationParams::default(),
+            SeedStream::new(seed),
+            0,
+            count,
+        )
+        .map(Arc::new)
+    })
 }
 
-/// Lifetime hit/miss counts `(hits, misses)` from the telemetry
-/// registry — the numbers behind the `/metrics` hit-ratio gauge.
+/// Lifetime hit/miss counts `(hits, misses)` — the numbers behind the
+/// `/metrics` hit-ratio gauge.
 pub fn stats() -> (u64, u64) {
-    let reg = accordion_telemetry::registry::global();
-    (
-        reg.counter("chip.popcache.hits").get(),
-        reg.counter("chip.popcache.misses").get(),
-    )
+    let stats = CACHE.stats();
+    (stats.hits, stats.misses)
 }
 
 /// Number of resident populations (for tests and health reporting).
 pub fn len() -> usize {
-    shelf().lock().expect("popcache lock").len()
-}
-
-/// Drops every resident population (tests only; in-flight `Arc`s keep
-/// their populations alive).
-pub fn clear() {
-    shelf().lock().expect("popcache lock").clear();
-    gauge!("chip.popcache.entries").set(0.0);
-}
-
-fn lookup(key: &PopKey) -> Option<Arc<Vec<Chip>>> {
-    let mut shelf = shelf().lock().expect("popcache lock");
-    let idx = shelf.iter().position(|(k, _)| k == key)?;
-    // Refresh recency: move the hit to the back.
-    let entry = shelf.remove(idx);
-    let pop = entry.1.clone();
-    shelf.push(entry);
-    Some(pop)
-}
-
-fn insert(key: PopKey, pop: Arc<Vec<Chip>>) -> Arc<Vec<Chip>> {
-    let mut shelf = shelf().lock().expect("popcache lock");
-    // A concurrent miss may have inserted the same key while we were
-    // fabricating; keep the resident Arc so hits stay pointer-equal.
-    if let Some(idx) = shelf.iter().position(|(k, _)| k == &key) {
-        let entry = shelf.remove(idx);
-        let existing = entry.1.clone();
-        shelf.push(entry);
-        return existing;
-    }
-    while shelf.len() >= CAPACITY {
-        shelf.remove(0);
-        counter!("chip.popcache.evictions").inc();
-    }
-    shelf.push((key, pop.clone()));
-    gauge!("chip.popcache.entries").set(shelf.len() as f64);
-    pop
+    CACHE.len()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    // The cache is process-wide: tests that fill it past capacity must
+    // not evict another test's entries between its two lookups.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn hit_returns_the_resident_population() {
+        let _serial = serial();
         let a = population(Topology::small(), 7001, 2).unwrap();
         let b = population(Topology::small(), 7001, 2).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
@@ -172,6 +133,7 @@ mod tests {
 
     #[test]
     fn distinct_keys_are_distinct_entries() {
+        let _serial = serial();
         let a = population(Topology::small(), 7002, 1).unwrap();
         let b = population(Topology::small(), 7003, 1).unwrap();
         let c = population(Topology::small(), 7002, 2).unwrap();
@@ -181,6 +143,7 @@ mod tests {
 
     #[test]
     fn cached_population_matches_direct_fabrication() {
+        let _serial = serial();
         let cached = population(Topology::small(), 7004, 2).unwrap();
         let direct = Chip::fabricate_population(
             Topology::small(),
@@ -197,6 +160,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_oldest_entry() {
+        let _serial = serial();
         // Fill well past capacity with unique keys; the earliest key
         // must no longer be pointer-identical on re-fetch.
         let first = population(Topology::small(), 7100, 1).unwrap();
@@ -214,5 +178,22 @@ mod tests {
             first[0].sample().cluster_vddmin_v,
             refetched[0].sample().cluster_vddmin_v
         );
+    }
+
+    #[test]
+    fn a_hot_population_survives_a_stream_of_cold_ones() {
+        let _serial = serial();
+        // Re-read between every cold insert, the hot population is the
+        // most recently used entry each time a cold one evicts; a FIFO
+        // would drop it after CAPACITY inserts.
+        let hot = population(Topology::small(), 7200, 1).unwrap();
+        for s in 7201..(7201 + CAPACITY as u64 + 2) {
+            population(Topology::small(), s, 1).unwrap();
+            let again = population(Topology::small(), 7200, 1).unwrap();
+            assert!(
+                Arc::ptr_eq(&hot, &again),
+                "hot population evicted at seed {s}"
+            );
+        }
     }
 }

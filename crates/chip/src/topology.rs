@@ -22,7 +22,7 @@ impl std::fmt::Display for ClusterId {
 
 /// Chip organization: a rectangular grid of clusters, each with a
 /// fixed number of cores (paper Table 2: 36 clusters × 8 cores).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Topology {
     /// Clusters along the die's x dimension.
     pub clusters_x: usize,

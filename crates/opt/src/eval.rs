@@ -9,9 +9,9 @@
 //!   is the expensive part of an evaluation, and adjacent candidates
 //!   (a bisection step, a mutated neighbour) usually share a supply.
 //!   Contexts are keyed by integer millivolts and kept in a small
-//!   LRU, the reuse ROADMAP item 5 anticipated; `OperatingTimings::at`
+//!   per-evaluator [`Memo`] (`opt.ctx_cache`, LRU); `OperatingTimings::at`
 //!   is a pure function of `(chip, vdd)`, so eviction can never change
-//!   a result.
+//!   a result, and parallel candidates at one supply derive it once.
 //! * a **candidate memo** — the NSGA-II loop revisits operating points
 //!   constantly (elitism keeps parents around; mutation often lands on
 //!   a previous candidate). The memo makes a repeat evaluation a hash
@@ -33,6 +33,7 @@ use accordion_chip::chip::Chip;
 use accordion_chip::columns::{ChipColumns, OperatingTimings};
 use accordion_chip::popcache;
 use accordion_chip::topology::Topology;
+use accordion_pool::Memo;
 use accordion_sim::exec::ExecModel;
 use accordion_telemetry::counter;
 use std::collections::HashMap;
@@ -85,12 +86,6 @@ impl OperatingPoint {
     }
 }
 
-/// Bounded LRU of per-supply timing contexts, keyed by millivolts.
-struct CtxCache {
-    map: HashMap<u32, Arc<OperatingTimings>>,
-    order: Vec<u32>,
-}
-
 /// Deterministic, cached candidate evaluator for one `(population,
 /// chip, app)` binding.
 pub struct Evaluator {
@@ -100,12 +95,11 @@ pub struct Evaluator {
     quality: QualityModel,
     exec: ExecModel,
     baseline: StvBaseline,
-    ctxs: Mutex<CtxCache>,
+    /// Per-supply timing contexts, keyed by millivolts.
+    ctxs: Memo<u32, Arc<OperatingTimings>>,
     memo: Mutex<HashMap<Candidate, OperatingPoint>>,
     evals: AtomicU64,
     memo_hits: AtomicU64,
-    ctx_hits: AtomicU64,
-    ctx_misses: AtomicU64,
 }
 
 impl Evaluator {
@@ -152,15 +146,10 @@ impl Evaluator {
             quality,
             exec,
             baseline,
-            ctxs: Mutex::new(CtxCache {
-                map: HashMap::new(),
-                order: Vec::new(),
-            }),
+            ctxs: Memo::new("opt.ctx_cache", CTX_CAPACITY),
             memo: Mutex::new(HashMap::new()),
             evals: AtomicU64::new(0),
             memo_hits: AtomicU64::new(0),
-            ctx_hits: AtomicU64::new(0),
-            ctx_misses: AtomicU64::new(0),
         })
     }
 
@@ -186,47 +175,26 @@ impl Evaluator {
 
     /// `(fresh evaluations, memo hits, ctx hits, ctx misses)` so far.
     pub fn stats(&self) -> (u64, u64, u64, u64) {
+        let ctx = self.ctxs.stats();
         (
             self.evals.load(Ordering::Relaxed),
             self.memo_hits.load(Ordering::Relaxed),
-            self.ctx_hits.load(Ordering::Relaxed),
-            self.ctx_misses.load(Ordering::Relaxed),
+            ctx.hits,
+            ctx.misses,
         )
     }
 
     /// The per-supply timing context for `vdd_mv`, derived at most
-    /// once while it stays in the LRU window.
+    /// once while it stays in the LRU window. The derivation runs
+    /// outside the memo's lock, so a 288-core context does not
+    /// serialize the worker pool.
     fn ctx(&self, vdd_mv: u32) -> Arc<OperatingTimings> {
-        let mut cache = self.ctxs.lock().expect("ctx cache lock");
-        if let Some(ctx) = cache.map.get(&vdd_mv) {
-            let ctx = ctx.clone();
-            cache.order.retain(|&mv| mv != vdd_mv);
-            cache.order.push(vdd_mv);
-            drop(cache);
-            self.ctx_hits.fetch_add(1, Ordering::Relaxed);
-            counter!("opt.ctx_cache.hits").inc();
-            return ctx;
-        }
-        // Derive outside the lock: a 288-core context derivation must
-        // not serialize the whole worker pool. A racing duplicate is
-        // deterministic, so either insertion wins identically.
-        drop(cache);
-        self.ctx_misses.fetch_add(1, Ordering::Relaxed);
-        counter!("opt.ctx_cache.misses").inc();
-        let ctx = Arc::new(OperatingTimings::at(
-            self.chip(),
-            f64::from(vdd_mv) / 1000.0,
-        ));
-        let mut cache = self.ctxs.lock().expect("ctx cache lock");
-        if cache.order.len() >= CTX_CAPACITY && !cache.map.contains_key(&vdd_mv) {
-            let oldest = cache.order.remove(0);
-            cache.map.remove(&oldest);
-        }
-        let entry = cache.map.entry(vdd_mv).or_insert_with(|| ctx.clone());
-        let entry = entry.clone();
-        cache.order.retain(|&mv| mv != vdd_mv);
-        cache.order.push(vdd_mv);
-        entry
+        self.ctxs.get_or_insert_with(&vdd_mv, || {
+            Arc::new(OperatingTimings::at(
+                self.chip(),
+                f64::from(vdd_mv) / 1000.0,
+            ))
+        })
     }
 
     /// Evaluates one candidate, bypassing the memo. Pure function of
@@ -261,7 +229,9 @@ impl Evaluator {
         let n_cores = n * chip.topology().cores_per_cluster;
         let time_s = self.exec.execution_time_s(&w, n_cores, f_run);
         let mips = self.exec.total_mips(&w, n_cores, f_run);
-        let power_w = self.prefix_power_w(n, c.vdd_v(), f_run);
+        // The engaged prefix's power, summed in efficiency order.
+        let engaged = self.cols.efficiency_order()[..n].iter().copied();
+        let power_w = chip.power_at_w(engaged, c.vdd_v(), f_run);
 
         let (lo, hi) = self.quality.size_domain();
         let s = size.clamp(lo, hi);
@@ -281,29 +251,6 @@ impl Evaluator {
             mips,
             quality,
         }
-    }
-
-    /// Power of the first `n` efficiency-ordered clusters at an
-    /// arbitrary supply: per-core variation-aware dynamic+leakage plus
-    /// per-cluster uncore (the served engine's whole-chip pricing,
-    /// restricted to the engaged prefix).
-    fn prefix_power_w(&self, n: usize, vdd_v: f64, f_ghz: f64) -> f64 {
-        let chip = self.chip();
-        let core_model = chip.power_model().core_model();
-        let variation = &chip.sample().variation;
-        let tech = chip.freq_model().technology();
-        let mut total = 0.0;
-        for &cl in &self.cols.efficiency_order()[..n] {
-            for core in chip.topology().cores_of(cl) {
-                let dv = variation.core_vth_delta_v[core.0];
-                let lm = variation.core_leff_mult[core.0];
-                total += core_model.core_power(vdd_v, f_ghz, dv, lm).total_w();
-            }
-            total += chip
-                .power_model()
-                .cluster_uncore_w(vdd_v, f_ghz / tech.f_nom_ghz);
-        }
-        total
     }
 
     /// Evaluates one candidate through the memo.

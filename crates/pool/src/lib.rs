@@ -23,6 +23,10 @@
 //!   tasks may borrow from the enclosing environment and may freely
 //!   open nested scopes or nested `par_map`s.
 //!
+//! Beside them sits [`Memo`], the bounded singleflight memo every
+//! cache in the workspace is built on: concurrent callers of one key
+//! share one computation, wherever the pool schedules them.
+//!
 //! # Determinism contract
 //!
 //! For a pure `f` (no shared mutable state), `par_map_indexed(n, f)`
@@ -61,6 +65,10 @@
 //! `pool.steals` counters land in run manifests.
 
 #![deny(missing_docs)]
+
+mod memo;
+
+pub use memo::{Memo, MemoStats};
 
 use accordion_telemetry::{counter, span};
 use std::any::Any;

@@ -33,24 +33,20 @@ use accordion_chip::chip::Chip;
 use accordion_chip::columns::OperatingTimings;
 use accordion_chip::popcache;
 use accordion_chip::topology::{ClusterId, Topology};
+use accordion_pool::Memo;
 use accordion_sim::exec::ExecModel;
 use accordion_sim::phases::{iterative_app, run_app};
 use accordion_stats::rng::SeedStream;
 use accordion_telemetry::event::SimEvent;
 use accordion_telemetry::json::Json;
 use accordion_telemetry::{counter, flight, flight_track, span};
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, LazyLock};
 use std::time::Instant;
 
 /// Upper bound on `chips` per query (bounds memory per cache entry).
 const MAX_CHIPS: usize = 100;
 /// Upper bound on a sweep's grid size.
 const MAX_GRID: usize = 1024;
-/// Rendered-response memo capacity (FIFO eviction). Sized so a burst
-/// of identical queries — the coalescing target — always hits, while
-/// the worst case stays a few MB of JSON.
-const MEMO_CAPACITY: usize = 256;
 
 /// A validated simulation query.
 #[derive(Debug, Clone)]
@@ -170,7 +166,7 @@ fn int_field(doc: &Json, key: &str, default: f64) -> Result<f64, String> {
 }
 
 /// Errors a valid query can still hit while executing.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum EngineError {
     /// Client-side problem discovered during execution → 400.
     Bad(String),
@@ -178,31 +174,21 @@ pub enum EngineError {
     Internal(String),
 }
 
-/// Per-app quality models, measured once per process. Front
-/// measurement runs the real kernels (seconds of work), which is
-/// exactly the state a long-lived service exists to amortize.
+/// Per-app quality models, measured once per process
+/// (`served.quality_cache`). Front measurement runs the real kernels
+/// (seconds of work), which is exactly the state a long-lived service
+/// exists to amortize. Measurement runs outside the memo's lock: a
+/// cold canneal query does not block a warm hotspot one.
 fn quality_for(app_name: &str) -> Arc<QualityModel> {
-    static MODELS: OnceLock<Mutex<HashMap<String, Arc<QualityModel>>>> = OnceLock::new();
-    let models = MODELS.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(m) = models.lock().expect("quality cache lock").get(app_name) {
-        counter!("served.quality_cache.hits").inc();
-        return m.clone();
-    }
-    counter!("served.quality_cache.misses").inc();
-    // Measure outside the lock: a cold canneal query must not block a
-    // warm hotspot one. A racing duplicate measure is deterministic,
-    // so whichever insertion wins, the model is the same.
-    let app = all_apps()
-        .into_iter()
-        .find(|a| a.name() == app_name)
-        .expect("validated app name");
-    let measured = Arc::new(QualityModel::measure(app.as_ref()));
-    models
-        .lock()
-        .expect("quality cache lock")
-        .entry(app_name.to_string())
-        .or_insert(measured)
-        .clone()
+    static MODELS: LazyLock<Memo<String, Arc<QualityModel>>> =
+        LazyLock::new(|| Memo::new("served.quality_cache", 16));
+    MODELS.get_or_insert_with(app_name, || {
+        let app = all_apps()
+            .into_iter()
+            .find(|a| a.name() == app_name)
+            .expect("validated app name");
+        Arc::new(QualityModel::measure(app.as_ref()))
+    })
 }
 
 /// Answers one simulation query. See the module docs for the pipeline.
@@ -270,7 +256,8 @@ fn simulate_at(q: &SimQuery, chip: &Chip, ctx: &OperatingTimings) -> Result<Json
 
     // Energy: active cores plus uncore across the whole chip, at the
     // operating supply and speculative frequency.
-    let power_w = chip_power_at(chip, vdd_v, f_run);
+    let clusters = (0..chip.topology().num_clusters()).map(ClusterId);
+    let power_w = chip.power_at_w(clusters, vdd_v, f_run);
     let time_s = e_cycles / (f_run * 1e9);
 
     Ok(Json::obj(vec![
@@ -335,246 +322,6 @@ fn simulate_at(q: &SimQuery, chip: &Chip, ctx: &OperatingTimings) -> Result<Json
             ]),
         ),
     ]))
-}
-
-// ---------------------------------------------------------------------------
-// Cross-connection coalescing: singleflight + rendered-response memo.
-// ---------------------------------------------------------------------------
-
-/// What a flight publishes: the rendered body, or an error whose
-/// `bad` flag lets joiners reconstruct the right [`EngineError`]
-/// class (and therefore the right HTTP status).
-type FlightOutcome = Result<Arc<str>, (bool, String)>;
-
-/// One in-flight evaluation other requests can latch onto. The leader
-/// publishes into `slot` and notifies; joiners block on the condvar.
-struct Flight {
-    slot: Mutex<Option<FlightOutcome>>,
-    done: Condvar,
-}
-
-/// Publishes a failure if the leader unwinds before publishing a
-/// result — joiners must never hang on a panicked leader.
-struct FlightGuard<'a> {
-    key: &'a str,
-    flight: &'a Arc<Flight>,
-    armed: bool,
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        inflight()
-            .lock()
-            .expect("singleflight map poisoned")
-            .remove(self.key);
-        let mut slot = self.flight.slot.lock().expect("flight slot poisoned");
-        if slot.is_none() {
-            *slot = Some(Err((false, "simulation panicked".to_string())));
-        }
-        drop(slot);
-        self.flight.done.notify_all();
-    }
-}
-
-fn inflight() -> &'static Mutex<HashMap<String, Arc<Flight>>> {
-    static MAP: OnceLock<Mutex<HashMap<String, Arc<Flight>>>> = OnceLock::new();
-    MAP.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Bounded FIFO memo of rendered responses. Entries are immutable
-/// (identical query ⇒ byte-identical body, the determinism the test
-/// suite pins), so eviction order does not affect correctness.
-struct Memo {
-    map: HashMap<String, Arc<str>>,
-    order: VecDeque<String>,
-}
-
-fn memo() -> &'static Mutex<Memo> {
-    static MEMO: OnceLock<Mutex<Memo>> = OnceLock::new();
-    MEMO.get_or_init(|| {
-        Mutex::new(Memo {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-        })
-    })
-}
-
-/// Every field of the query, canonically rendered. Floats go through
-/// `to_bits` so `0.5` and `0.5000…01` never alias.
-fn coalesce_key(q: &SimQuery) -> String {
-    format!(
-        "{}|{}|{:x}|{}|{}|{}|{}|{}|{}|{}|{:x}",
-        q.app,
-        if q.topo == Topology::small() {
-            "small"
-        } else {
-            "default"
-        },
-        q.size.to_bits(),
-        q.vdd_mv
-            .map_or_else(|| "ntv".to_string(), |v| format!("{:x}", v.to_bits())),
-        q.pop_seed,
-        q.seed,
-        q.chips,
-        q.chip,
-        q.dcs,
-        q.iterations,
-        q.drop_target.to_bits()
-    )
-}
-
-/// Marks the current request as answered by coalescing: the metric the
-/// dashboards watch, the access-log `cache` field, and a trace span
-/// (so a coalesced request's flight track shows where its latency
-/// went — waiting on the leader, not simulating). Also used by the
-/// server's route-layer raw-body replay, which fronts this memo.
-pub(crate) fn note_coalesced(us: u64) {
-    counter!("served.coalesced").inc();
-    crate::obs::note_cache(true);
-    accordion_telemetry::event::advance_sim(us);
-    flight!(SimEvent::ServeStage {
-        stage: "serve.coalesced",
-        us,
-    });
-}
-
-/// [`simulate`], rendered — with cross-connection coalescing.
-///
-/// Identical queries collapse: concurrent duplicates join the one
-/// in-flight evaluation (singleflight) and recent results are replayed
-/// from a bounded memo, so a thundering herd of the same operating
-/// point costs one simulation however many connections ask. Joined and
-/// memoized answers increment `served_coalesced_total` and log
-/// `cache:"hit"`. Determinism makes this safe: the engine is a pure
-/// function of the query, so a replayed body is byte-identical to a
-/// fresh one (pinned by `tests/coalesce.rs`).
-///
-/// # Errors
-///
-/// As [`simulate`]. Errors are published to concurrent joiners (they
-/// fail with the leader) but never memoized — the next request retries.
-pub fn simulate_rendered(q: &SimQuery) -> Result<Arc<str>, EngineError> {
-    coalesced_rendered(coalesce_key(q), || simulate(q).map(|doc| doc.render()))
-}
-
-/// [`sweep`], rendered — with the same cross-connection coalescing as
-/// [`simulate_rendered`]. The key is the canonical rendering of the
-/// parsed request document: two requests that parse to the same JSON
-/// describe the same grid, and the sweep is a pure function of it
-/// (worker count never changes the bytes — the determinism contract).
-///
-/// # Errors
-///
-/// As [`sweep`]; errors propagate to joiners but are never memoized.
-pub fn sweep_rendered(doc: &Json, workers: usize) -> Result<Arc<str>, EngineError> {
-    coalesced_rendered(format!("sweep|{}", doc.render()), || {
-        sweep(doc, workers).map(|d| d.render())
-    })
-}
-
-/// The singleflight + memo core shared by the rendered entry points:
-/// memo hit → replay; join an in-flight leader if one exists; otherwise
-/// lead, evaluate, publish, memoize.
-fn coalesced_rendered(
-    key: String,
-    eval: impl FnOnce() -> Result<String, EngineError>,
-) -> Result<Arc<str>, EngineError> {
-    let started = Instant::now();
-    if let Some(hit) = memo().lock().expect("memo poisoned").map.get(&key).cloned() {
-        note_coalesced(started.elapsed().as_micros() as u64);
-        return Ok(hit);
-    }
-    let (flight, leader) = {
-        let mut map = inflight().lock().expect("singleflight map poisoned");
-        match map.get(&key) {
-            Some(f) => (f.clone(), false),
-            None => {
-                let f = Arc::new(Flight {
-                    slot: Mutex::new(None),
-                    done: Condvar::new(),
-                });
-                map.insert(key.clone(), f.clone());
-                (f, true)
-            }
-        }
-    };
-    if !leader {
-        // Join the in-flight evaluation.
-        let mut slot = flight.slot.lock().expect("flight slot poisoned");
-        while slot.is_none() {
-            slot = flight.done.wait(slot).expect("flight slot poisoned");
-        }
-        let result = slot.clone().expect("loop exits only when published");
-        drop(slot);
-        return match result {
-            Ok(body) => {
-                note_coalesced(started.elapsed().as_micros() as u64);
-                Ok(body)
-            }
-            Err((true, msg)) => Err(EngineError::Bad(msg)),
-            Err((false, msg)) => Err(EngineError::Internal(msg)),
-        };
-    }
-    // Leader: evaluate, publish, memoize. The guard keeps joiners from
-    // hanging if `simulate` panics (the server answers the leader 500).
-    let mut guard = FlightGuard {
-        key: &key,
-        flight: &flight,
-        armed: true,
-    };
-    let outcome = eval();
-    let (published, returned) = match outcome {
-        Ok(rendered) => {
-            let body: Arc<str> = Arc::from(rendered);
-            let mut m = memo().lock().expect("memo poisoned");
-            if !m.map.contains_key(&key) {
-                if m.order.len() >= MEMO_CAPACITY {
-                    if let Some(old) = m.order.pop_front() {
-                        m.map.remove(&old);
-                    }
-                }
-                m.map.insert(key.clone(), body.clone());
-                m.order.push_back(key.clone());
-            }
-            drop(m);
-            (Ok(body.clone()), Ok(body))
-        }
-        Err(EngineError::Bad(msg)) => (Err((true, msg.clone())), Err(EngineError::Bad(msg))),
-        Err(EngineError::Internal(msg)) => {
-            (Err((false, msg.clone())), Err(EngineError::Internal(msg)))
-        }
-    };
-    inflight()
-        .lock()
-        .expect("singleflight map poisoned")
-        .remove(&key);
-    *flight.slot.lock().expect("flight slot poisoned") = Some(published);
-    flight.done.notify_all();
-    guard.armed = false;
-    returned
-}
-
-/// Whole-chip power with every core active at `f_ghz` and `vdd_v`
-/// (mirrors `Chip::cluster_power_w`, generalized to a supply override).
-fn chip_power_at(chip: &Chip, vdd_v: f64, f_ghz: f64) -> f64 {
-    let core_model = chip.power_model().core_model();
-    let variation = &chip.sample().variation;
-    let tech = chip.freq_model().technology();
-    let mut total = 0.0;
-    for c in 0..chip.topology().num_clusters() {
-        for core in chip.topology().cores_of(ClusterId(c)) {
-            let dv = variation.core_vth_delta_v[core.0];
-            let lm = variation.core_leff_mult[core.0];
-            total += core_model.core_power(vdd_v, f_ghz, dv, lm).total_w();
-        }
-        total += chip
-            .power_model()
-            .cluster_uncore_w(vdd_v, f_ghz / tech.f_nom_ghz);
-    }
-    total
 }
 
 /// Parses and runs a `/v1/sweep` body: the same fields as
@@ -850,7 +597,7 @@ pub fn optimize_request_from_json(doc: &Json) -> Result<accordion_opt::OptimizeR
 /// seeded NSGA-II loop in `accordion-opt`, sharing the process-wide
 /// population/quality caches with the other routes. The report is a
 /// pure function of the request document (see `accordion_opt::report`),
-/// which is what makes the coalescing in [`optimize_rendered`] sound.
+/// which is what lets the server memoize it by request body.
 ///
 /// # Errors
 ///
@@ -867,21 +614,6 @@ pub fn optimize(doc: &Json, workers: usize) -> Result<Json, EngineError> {
         } else {
             EngineError::Bad(msg)
         }
-    })
-}
-
-/// [`optimize`], rendered — with the same cross-connection coalescing
-/// as [`sweep_rendered`]: the key is the canonical rendering of the
-/// parsed request document, and the optimizer's byte-determinism
-/// contract (same request ⇒ same bytes at any worker count) makes
-/// replaying a memoized body indistinguishable from re-searching.
-///
-/// # Errors
-///
-/// As [`optimize`]; errors propagate to joiners but are never memoized.
-pub fn optimize_rendered(doc: &Json, workers: usize) -> Result<Arc<str>, EngineError> {
-    coalesced_rendered(format!("optimize|{}", doc.render()), || {
-        optimize(doc, workers).map(|d| d.render())
     })
 }
 
@@ -991,7 +723,7 @@ mod tests {
     }
 
     #[test]
-    fn optimize_is_deterministic_and_coalesces() {
+    fn optimize_is_deterministic() {
         let doc = json::parse(
             r#"{"app": "hotspot", "topo": "small", "chips": 2, "pop_seed": 9104,
                 "seed": 5, "population": 8, "generations": 2, "scout_steps": 2,
@@ -1006,14 +738,6 @@ mod tests {
             parsed.get("grid_check").and_then(|g| g.get("dominated")),
             Some(&Json::Bool(true))
         );
-        // The rendered path replays the memo for an identical document.
-        let first = optimize_rendered(&doc, 2).unwrap();
-        let second = optimize_rendered(&doc, 2).unwrap();
-        assert!(
-            Arc::ptr_eq(&first, &second),
-            "second call must be a memo hit"
-        );
-        assert_eq!(first.as_ref(), a);
     }
 
     #[test]

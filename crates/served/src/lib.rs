@@ -27,9 +27,10 @@
 //! behind [`reactor`]): one reactor thread multiplexes every
 //! connection — HTTP/1.1 keep-alive, pipelining, incremental parsing —
 //! while a fixed worker pool executes requests from a bounded queue.
-//! Identical concurrent `/v1/simulate` queries **coalesce** onto one
-//! evaluation ([`engine::simulate_rendered`]), surfaced as
-//! `served_coalesced_total`.
+//! Identical `/v1/simulate`, `/v1/sweep` and `/v1/optimize` requests
+//! **coalesce**: one route-level memo keyed by the exact request body
+//! answers repeats and makes concurrent duplicates wait for one
+//! evaluation, surfaced as `served_coalesced_total`.
 //!
 //! Robustness bounds: a fixed worker pool, a bounded request queue
 //! (overflow → `503` + `Retry-After`, answered by the reactor without
@@ -63,7 +64,5 @@ pub mod obs;
 pub mod reactor;
 pub mod server;
 
-pub use engine::{
-    optimize, optimize_rendered, simulate, simulate_rendered, sweep, EngineError, SimQuery,
-};
+pub use engine::{optimize, simulate, sweep, EngineError, SimQuery};
 pub use server::{start, ArtifactSource, ServeConfig, ServerHandle, ShutdownTrigger};

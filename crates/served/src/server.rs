@@ -29,13 +29,14 @@ use crate::http::{self, Request, RequestParser, Response};
 use crate::obs::{self, AccessLog, AccessRecord};
 use crate::reactor::{PollSet, WakeHandle, Waker};
 use accordion_chip::popcache;
+use accordion_pool::Memo;
 use accordion_telemetry::alerts::{self, AlertSet};
 use accordion_telemetry::event::SimEvent;
 use accordion_telemetry::registry::exponential_bounds;
 use accordion_telemetry::rolling::RollingHistogram;
 use accordion_telemetry::tsdb::Tsdb;
 use accordion_telemetry::{counter, flight, flight_track, histogram, json, prom, sink};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -189,57 +190,69 @@ struct Shared {
     started: Instant,
     /// JSONL access log, when configured.
     log: Option<AccessLog>,
-    /// Route-layer replay memo: exact `(route, body-bytes)` of an
-    /// already-answered simulate/sweep → its rendered `200` body. A
-    /// hit skips JSON parsing and query validation entirely; it is
-    /// sound for the same reason the engine memo is (the engine is a
-    /// pure function of the request, so the replay is byte-identical)
-    /// and counts as a coalesced answer in the metrics/log.
-    raw_memo: Mutex<RawMemo>,
+    /// `served.response_memo`: rendered `200` bodies of the POST
+    /// routes, keyed by route and exact body bytes (see
+    /// [`memoized`]).
+    responses: Memo<RouteKey, Arc<str>, EngineError>,
     /// Self-scrape history store behind `/v1/timeseries`.
     tsdb: Arc<Tsdb>,
     /// Alert rules + evaluation state behind `/v1/alerts`.
     alerts: Mutex<AlertSet>,
 }
 
-/// Bounded FIFO map behind [`Shared::raw_memo`]. Only successful
-/// (`200`) bodies enter; errors always re-evaluate. Nested by route so
-/// the hot lookup probes with the borrowed body slice (`Vec<u8>:
-/// Borrow<[u8]>`) — no allocation on a hit.
-#[derive(Default)]
-struct RawMemo {
-    map: HashMap<&'static str, HashMap<Vec<u8>, Arc<str>>>,
-    order: VecDeque<(&'static str, Vec<u8>)>,
+/// Entries of `served.response_memo`, shared by every POST route.
+/// Sized so a burst of identical requests — the coalescing target —
+/// always hits, while the worst case stays a few MB of JSON.
+const RESPONSE_MEMO_CAPACITY: usize = 256;
+
+/// Key of `served.response_memo`: a route and the exact request body.
+type RouteKey = (&'static str, Vec<u8>);
+
+/// A `(route, body)` pair behind a trait object, so a lookup can borrow
+/// the request's own body instead of copying it into a key. Both forms
+/// hash and compare as the tuple `(route, body)`, as `Borrow` requires.
+trait RouteBody {
+    fn parts(&self) -> (&'static str, &[u8]);
 }
 
-/// Entry cap for [`RawMemo`] — matches the engine memo's bound.
-const RAW_MEMO_CAPACITY: usize = 256;
-
-impl RawMemo {
-    fn get(&self, route: &'static str, body: &[u8]) -> Option<Arc<str>> {
-        self.map.get(route)?.get(body).cloned()
+impl RouteBody for RouteKey {
+    fn parts(&self) -> (&'static str, &[u8]) {
+        (self.0, &self.1)
     }
+}
 
-    fn put(&mut self, route: &'static str, body: &[u8], rendered: Arc<str>) {
-        if self
-            .map
-            .get(route)
-            .is_some_and(|per_route| per_route.contains_key(body))
-        {
-            return;
-        }
-        if self.order.len() >= RAW_MEMO_CAPACITY {
-            if let Some((r, b)) = self.order.pop_front() {
-                if let Some(per_route) = self.map.get_mut(r) {
-                    per_route.remove(&b);
-                }
-            }
-        }
-        self.map
-            .entry(route)
-            .or_default()
-            .insert(body.to_vec(), rendered);
-        self.order.push_back((route, body.to_vec()));
+impl RouteBody for (&'static str, &[u8]) {
+    fn parts(&self) -> (&'static str, &[u8]) {
+        *self
+    }
+}
+
+impl std::hash::Hash for dyn RouteBody + '_ {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for dyn RouteBody + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn RouteBody + '_ {}
+
+impl<'a> std::borrow::Borrow<dyn RouteBody + 'a> for RouteKey {
+    fn borrow(&self) -> &(dyn RouteBody + 'a) {
+        self
+    }
+}
+
+impl ToOwned for dyn RouteBody + '_ {
+    type Owned = RouteKey;
+
+    fn to_owned(&self) -> RouteKey {
+        let (route, body) = self.parts();
+        (route, body.to_vec())
     }
 }
 
@@ -366,7 +379,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         shed: AtomicU64::new(0),
         started: Instant::now(),
         log,
-        raw_memo: Mutex::new(RawMemo::default()),
+        responses: Memo::new("served.response_memo", RESPONSE_MEMO_CAPACITY),
         tsdb: Arc::new(Tsdb::new()),
         alerts: Mutex::new(AlertSet::new(rules)),
     });
@@ -1144,7 +1157,7 @@ fn describe_metrics() {
     reg.describe("served.http.shed", "requests shed with 503 at the queue");
     reg.describe(
         "served.coalesced",
-        "simulate requests answered by coalescing onto an identical in-flight or memoized evaluation",
+        "simulate, sweep and optimize requests answered by coalescing onto an identical in-flight or memoized evaluation",
     );
     reg.describe("served.uptime.seconds", "seconds since the server started");
     reg.describe(
@@ -1345,8 +1358,6 @@ fn refresh_gauges(shared: &Shared) {
     } else {
         0.0
     });
-    reg.gauge("varius.sampler_cache.entries")
-        .set(accordion_varius::vmap::sampler_cache_len() as f64);
 }
 
 /// Renders `/metrics`: refreshes the point-in-time serving gauges,
@@ -1521,99 +1532,74 @@ fn list_artifacts(shared: &Shared) -> Response {
     Response::json(200, doc.render())
 }
 
-fn parse_body(req: &Request) -> Result<json::Json, Response> {
-    let text =
-        std::str::from_utf8(&req.body).map_err(|_| Response::error(400, "body is not UTF-8"))?;
+fn parse_body(req: &Request) -> Result<json::Json, String> {
+    let text = std::str::from_utf8(&req.body).map_err(|_| "body is not UTF-8".to_string())?;
     if text.trim().is_empty() {
         return Ok(json::Json::Obj(Vec::new()));
     }
-    json::parse(text).map_err(|e| Response::error(400, &format!("body is not JSON: {e}")))
+    json::parse(text).map_err(|e| format!("body is not JSON: {e}"))
 }
 
-/// Replays an already-answered body for `route` straight from the
-/// raw-body memo, accounting it as a coalesced answer. `None` means
-/// the request must go through parse + engine.
-fn raw_replay(shared: &Shared, route: &'static str, req: &Request) -> Option<Response> {
+/// Answers a POST route through `served.response_memo`. Every route's
+/// answer is a pure function of its body (the engine and optimizer
+/// determinism contracts), so a repeat replays the rendered bytes
+/// without parsing, and concurrent identical requests wait for one
+/// evaluation. Errors — parse, validation and engine alike — reach the
+/// joiners of that evaluation but are never stored. A replayed or
+/// joined answer counts as coalesced.
+fn memoized(
+    shared: &Shared,
+    route: &'static str,
+    req: &Request,
+    eval: impl FnOnce(&json::Json) -> Result<json::Json, EngineError>,
+) -> Response {
     let started = Instant::now();
-    let hit = shared
-        .raw_memo
-        .lock()
-        .expect("raw memo poisoned")
-        .get(route, &req.body)?;
-    engine::note_coalesced(started.elapsed().as_micros() as u64);
-    Some(Response::json(200, hit.as_ref().to_owned()))
+    let key: &dyn RouteBody = &(route, req.body.as_slice());
+    let answer = shared.responses.lookup(key, || {
+        let doc = parse_body(req).map_err(EngineError::Bad)?;
+        eval(&doc).map(|doc| Arc::from(doc.render()))
+    });
+    match answer {
+        Ok((body, hit)) => {
+            if hit {
+                note_coalesced(started.elapsed().as_micros() as u64);
+            }
+            Response::json(200, body.as_ref().to_owned())
+        }
+        Err(e) => engine_error(&e),
+    }
 }
 
-fn raw_store(shared: &Shared, route: &'static str, req: &Request, rendered: Arc<str>) {
-    shared
-        .raw_memo
-        .lock()
-        .expect("raw memo poisoned")
-        .put(route, &req.body, rendered);
+/// Marks the current request as answered by coalescing: the metric the
+/// dashboards watch, the access-log `cache` field, and a trace span
+/// (so a coalesced request's flight track shows where its latency
+/// went — waiting on the leader or replaying, not simulating).
+fn note_coalesced(us: u64) {
+    counter!("served.coalesced").inc();
+    obs::note_cache(true);
+    accordion_telemetry::event::advance_sim(us);
+    flight!(SimEvent::ServeStage {
+        stage: "serve.coalesced",
+        us,
+    });
 }
 
 fn simulate(shared: &Shared, req: &Request) -> Response {
-    if let Some(resp) = raw_replay(shared, "simulate", req) {
-        return resp;
-    }
-    let doc = match parse_body(req) {
-        Ok(d) => d,
-        Err(resp) => return resp,
-    };
-    let query = match SimQuery::from_json(&doc) {
-        Ok(q) => q,
-        Err(msg) => return Response::error(400, &msg),
-    };
-    // The rendered-and-coalesced path: identical concurrent queries
-    // collapse onto one evaluation (see `engine::simulate_rendered`).
-    match engine::simulate_rendered(&query) {
-        Ok(body) => {
-            raw_store(shared, "simulate", req, body.clone());
-            Response::json(200, body.as_ref().to_owned())
-        }
-        Err(e) => engine_error(&e),
-    }
+    memoized(shared, "simulate", req, |doc| {
+        engine::simulate(&SimQuery::from_json(doc).map_err(EngineError::Bad)?)
+    })
 }
 
 fn sweep(shared: &Shared, req: &Request) -> Response {
-    if let Some(resp) = raw_replay(shared, "sweep", req) {
-        return resp;
-    }
-    let doc = match parse_body(req) {
-        Ok(d) => d,
-        Err(resp) => return resp,
-    };
-    // Sweeps coalesce exactly like single simulates: the grid is a
-    // pure function of the request document, so identical concurrent
-    // sweeps collapse onto one fan-out and repeats replay the memo.
-    match engine::sweep_rendered(&doc, shared.cfg.request_jobs) {
-        Ok(body) => {
-            raw_store(shared, "sweep", req, body.clone());
-            Response::json(200, body.as_ref().to_owned())
-        }
-        Err(e) => engine_error(&e),
-    }
+    memoized(shared, "sweep", req, |doc| {
+        engine::sweep(doc, shared.cfg.request_jobs)
+    })
 }
 
 fn optimize(shared: &Shared, req: &Request) -> Response {
-    if let Some(resp) = raw_replay(shared, "optimize", req) {
-        return resp;
-    }
-    let doc = match parse_body(req) {
-        Ok(d) => d,
-        Err(resp) => return resp,
-    };
-    // The optimizer report is a pure function of the request document
-    // (the accordion-opt determinism contract), so optimize requests
-    // coalesce exactly like simulates and sweeps: concurrent identical
-    // searches collapse onto one NSGA-II run, repeats replay the memo.
-    match engine::optimize_rendered(&doc, shared.cfg.request_jobs) {
-        Ok(body) => {
-            raw_store(shared, "optimize", req, body.clone());
-            Response::json(200, body.as_ref().to_owned())
-        }
-        Err(e) => engine_error(&e),
-    }
+    memoized(shared, "optimize", req, |doc| {
+        engine::optimize(doc, shared.cfg.request_jobs)
+    })
 }
 
 fn engine_error(e: &EngineError) -> Response {

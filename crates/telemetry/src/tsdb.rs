@@ -49,7 +49,7 @@ pub const SLOTS_PER_TIER: usize = 360;
 pub const MAX_SERIES: usize = 1024;
 
 /// Sentinel slot bucket meaning "never written".
-const EMPTY: u64 = u64::MAX;
+const EMPTY: u32 = u32::MAX;
 
 /// One downsampled point: the slot's start time and the mean of the
 /// samples that landed in it.
@@ -72,13 +72,17 @@ pub struct QueryResult {
     pub points: Vec<Point>,
 }
 
-/// One ring slot: absolute slot index plus a running mean.
+/// One ring slot: absolute slot index plus a running mean. Every
+/// series holds `3 × SLOTS_PER_TIER` slots, so the index is a `u32`
+/// (136 years of 1 s slots) to keep a slot at 16 bytes.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    bucket: u64,
-    sum: f64,
+    bucket: u32,
     count: u32,
+    sum: f64,
 }
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 16);
 
 struct Tier {
     secs: u64,
@@ -92,8 +96,8 @@ impl Tier {
             slots: vec![
                 Slot {
                     bucket: EMPTY,
+                    count: 0,
                     sum: 0.0,
-                    count: 0
                 };
                 SLOTS_PER_TIER
             ],
@@ -101,7 +105,12 @@ impl Tier {
     }
 
     fn push(&mut self, t_ms: u64, v: f64) {
-        let bucket = t_ms / (self.secs * 1000);
+        let Some(bucket) = u32::try_from(t_ms / (self.secs * 1000))
+            .ok()
+            .filter(|&b| b != EMPTY)
+        else {
+            return; // past the slot index range
+        };
         let slot = &mut self.slots[(bucket as usize) % SLOTS_PER_TIER];
         if slot.bucket != bucket {
             if slot.bucket != EMPTY && slot.bucket > bucket {
@@ -109,8 +118,8 @@ impl Tier {
             }
             *slot = Slot {
                 bucket,
-                sum: 0.0,
                 count: 0,
+                sum: 0.0,
             };
         }
         slot.sum += v;
@@ -125,9 +134,12 @@ impl Tier {
         let mut out: Vec<Point> = self
             .slots
             .iter()
-            .filter(|s| s.bucket != EMPTY && s.bucket >= from_bucket && s.bucket <= now_bucket)
+            .filter(|s| {
+                let b = u64::from(s.bucket);
+                s.bucket != EMPTY && b >= from_bucket && b <= now_bucket
+            })
             .map(|s| Point {
-                t_ms: s.bucket * slot_ms,
+                t_ms: u64::from(s.bucket) * slot_ms,
                 value: s.sum / s.count as f64,
             })
             .collect();

@@ -7,12 +7,13 @@
 
 use crate::layout::SitePlan;
 use crate::params::VariationParams;
+use accordion_pool::Memo;
 use accordion_stats::field::{CorrelatedField, CorrelationModel, FieldError};
 use accordion_stats::rng::StreamRng;
 use accordion_telemetry::{counter, gauge, span};
 use accordion_vlsi::tech::Technology;
 use std::cell::RefCell;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, LazyLock};
 
 /// Reusable sampler of chip-variation instances over a fixed layout.
 #[derive(Debug, Clone)]
@@ -36,24 +37,20 @@ struct SamplerKey {
     leff_sigma_bits: u64,
 }
 
-type CacheCell = Arc<OnceLock<Result<Arc<VariationSampler>, FieldError>>>;
-
 /// Most correlation structures a process keeps resident at once. A
 /// full `repro all` touches well under a dozen distinct structures;
 /// the bound exists so a long-lived serving process fed adversarial
 /// (plan, φ) combinations cannot grow the cache without limit.
 const SAMPLER_CACHE_CAP: usize = 32;
 
-/// Process-wide sampler cache with LRU eviction. `repro all` and the
-/// sweep artifacts re-request identical (plan, φ, technology)
+/// Process-wide sampler cache, `varius.sampler_cache`. `repro all` and
+/// the sweep artifacts re-request identical (plan, φ, technology)
 /// correlation structures many times; each structure is assembled and
-/// factored once and reused until it falls off the LRU shelf. The
-/// shelf is a Vec ordered oldest-first: hits move the entry to the
-/// back, inserts beyond [`SAMPLER_CACHE_CAP`] evict the front and
-/// count `varius.sampler_cache.evictions`. Linear scans are fine at
-/// this capacity — the keys are a few hundred bytes and the cache is
-/// consulted once per artifact, not per chip.
-static SAMPLER_CACHE: OnceLock<Mutex<Vec<(SamplerKey, CacheCell)>>> = OnceLock::new();
+/// factored once and reused until it is the least recently used of
+/// [`SAMPLER_CACHE_CAP`]. The value is the construction `Result`, so a
+/// structure that fails to factor is not re-factored either.
+static SAMPLER_CACHE: LazyLock<Memo<SamplerKey, Result<Arc<VariationSampler>, FieldError>>> =
+    LazyLock::new(|| Memo::new("varius.sampler_cache", SAMPLER_CACHE_CAP));
 
 // Per-thread scratch holding the two raw field draws of one chip;
 // reused across the whole fabrication hot loop.
@@ -149,39 +146,12 @@ impl ChipVariation {
             vth_sigma_bits: params.systematic_sigma(tech.vth_sigma_v()).to_bits(),
             leff_sigma_bits: params.systematic_sigma(tech.leff_sigma_over_mu).to_bits(),
         };
-        let cell = {
-            let mut shelf = SAMPLER_CACHE
-                .get_or_init(|| Mutex::new(Vec::new()))
-                .lock()
-                .expect("sampler cache poisoned");
-            let cell = match shelf.iter().position(|(k, _)| *k == key) {
-                Some(i) => {
-                    counter!("varius.sampler_cache.hits").inc();
-                    // LRU: refresh by moving to the back.
-                    let entry = shelf.remove(i);
-                    let cell = entry.1.clone();
-                    shelf.push(entry);
-                    cell
-                }
-                None => {
-                    counter!("varius.sampler_cache.misses").inc();
-                    if shelf.len() >= SAMPLER_CACHE_CAP {
-                        shelf.remove(0);
-                        counter!("varius.sampler_cache.evictions").inc();
-                    }
-                    let cell: CacheCell = Arc::new(OnceLock::new());
-                    shelf.push((key, cell.clone()));
-                    cell
-                }
-            };
-            gauge!("varius.sampler_cache.entries").set(shelf.len() as f64);
-            cell
-        };
         // Factor outside the map lock so distinct structures (e.g. the
         // φ ablation's parallel sweep points) factor concurrently;
-        // same-structure waiters block on the cell instead.
-        cell.get_or_init(|| Self::sampler_for_tech(plan, params, tech).map(Arc::new))
-            .clone()
+        // same-structure callers wait for the one factorization.
+        SAMPLER_CACHE.get_or_insert_with(&key, || {
+            Self::sampler_for_tech(plan, params, tech).map(Arc::new)
+        })
     }
 }
 
@@ -190,18 +160,7 @@ impl ChipVariation {
 /// gauge tracks, exposed directly for the serving layer's health
 /// endpoint and for tests.
 pub fn sampler_cache_len() -> usize {
-    SAMPLER_CACHE
-        .get_or_init(|| Mutex::new(Vec::new()))
-        .lock()
-        .expect("sampler cache poisoned")
-        .len()
-}
-
-/// Capacity of the process-wide sampler cache: beyond this many
-/// distinct correlation structures, the least-recently-used entry is
-/// evicted (counted by `varius.sampler_cache.evictions`).
-pub fn sampler_cache_capacity() -> usize {
-    SAMPLER_CACHE_CAP
+    SAMPLER_CACHE.len()
 }
 
 impl VariationSampler {
@@ -326,7 +285,7 @@ mod tests {
     // The sampler cache is process-wide; tests that fill it past
     // capacity must not interleave with tests asserting entry
     // identity across consecutive calls.
-    static CACHE_TESTS: Mutex<()> = Mutex::new(());
+    static CACHE_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn cached_sampler_is_shared_and_identical_to_fresh() {
@@ -359,7 +318,7 @@ mod tests {
         let _serial = CACHE_TESTS.lock().unwrap();
         let plan = SitePlan::regular_grid(2, 2, 20.0, 20.0);
         let tech = Technology::node_11nm();
-        let cap = sampler_cache_capacity();
+        let cap = SAMPLER_CACHE_CAP;
         let params_for = |i: usize| VariationParams {
             // Distinct φ ⇒ distinct correlation range ⇒ distinct key.
             phi: 0.05 + 1e-4 * i as f64,

@@ -167,12 +167,13 @@ if [ "$fast" -eq 0 ]; then
     ACCORDION_JOBS=8 cargo test -q --workspace
 
     # Third pass with the SSE2 columnar kernels: the `simd` feature
-    # must be drop-in — same artifacts, same bytes. The golden suite
-    # rerunning green IS the bit-identity proof.
+    # must be drop-in — same artifacts, same bytes, and every crate's
+    # tests green. The golden suite rerunning green IS the bit-identity
+    # proof.
     echo "==> cargo build --release --workspace --features simd"
     cargo build --release --workspace --features simd
-    echo "==> cargo test -q --features simd"
-    cargo test -q --features simd
+    echo "==> cargo test -q --workspace --features simd"
+    cargo test -q --workspace --features simd
 fi
 
 echo "All checks passed."

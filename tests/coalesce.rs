@@ -1,14 +1,18 @@
-//! Cross-connection request coalescing (ISSUE 7, satellite 3): 32
-//! concurrent identical `/v1/simulate` requests must return
-//! byte-identical bodies funded by a SINGLE underlying evaluation,
-//! proven by the engine's own counters — one `served.engine.
-//! simulations` tick, one population-cache miss, and 31
-//! `served.coalesced` ticks. Distinct seeds must NOT coalesce.
+//! Cross-connection request coalescing through the server's route-level
+//! memo (`served.response_memo`): 32 concurrent identical
+//! `/v1/simulate` requests must return byte-identical bodies funded by
+//! a SINGLE underlying evaluation, proven by the engine's own counters
+//! — one `served.engine.simulations` tick, one population-cache miss,
+//! and 31 `served.coalesced` ticks. Distinct seeds must NOT coalesce.
+//! Identical repeats of `/v1/sweep` and `/v1/optimize` replay the memo
+//! the same way.
 //!
 //! This file is deliberately its own integration-test binary: the
 //! counters it asserts on (telemetry registry, popcache stats) are
 //! process-global, and sharing a process with the other e2e suites
-//! would make the deltas unattributable.
+//! would make the deltas unattributable. For the same reason it is one
+//! test: the `/metrics` check reads an absolute coalesced total, so
+//! every coalescing request in this process runs in a known order.
 
 use accordion_served::{start, ServeConfig};
 use std::io::{Read, Write};
@@ -148,6 +152,47 @@ fn identical_concurrent_simulates_coalesce_to_one_evaluation() {
     let replay = post(addr, "/v1/simulate", sim);
     assert_eq!(body_of(&replay), bodies[0]);
     assert_eq!(counter("served.engine.simulations"), sims_before);
+
+    // Sweeps and optimizations go through the same route memo: an
+    // identical repeat returns the same bytes, runs no engine work and
+    // is one coalesced answer.
+    let routes = [
+        (
+            "/v1/sweep",
+            r#"{"app": "hotspot", "topo": "small", "chips": 2, "pop_seed": 9400,
+                "size": [0.5, 1.0], "vdd_mv": [550, 600]}"#,
+        ),
+        (
+            "/v1/optimize",
+            r#"{"app": "hotspot", "topo": "small", "chips": 2, "pop_seed": 9400,
+                "seed": 5, "population": 8, "generations": 2, "scout_steps": 2,
+                "quality_floor": 0.9, "grid_check": 2}"#,
+        ),
+    ];
+    for (path, body) in routes {
+        let first = post(addr, path, body);
+        assert!(first.starts_with("HTTP/1.1 200"), "{path}: {first}");
+        let engine_before = (
+            counter("served.engine.sweep_points"),
+            counter("served.engine.optimizations"),
+        );
+        let coalesced_before = counter("served.coalesced");
+        let repeat = post(addr, path, body);
+        assert_eq!(body_of(&repeat), body_of(&first), "{path}: same bytes");
+        assert_eq!(
+            (
+                counter("served.engine.sweep_points"),
+                counter("served.engine.optimizations"),
+            ),
+            engine_before,
+            "{path}: a repeat must not run the engine"
+        );
+        assert_eq!(
+            counter("served.coalesced") - coalesced_before,
+            1,
+            "{path}: a repeat is one coalesced answer"
+        );
+    }
 
     handle.shutdown();
 }
