@@ -30,7 +30,7 @@
 //! random populations and operating points.
 
 use crate::chip::Chip;
-use crate::selection::{ClusterSelection, SelectionPolicy};
+use crate::selection::ClusterSelection;
 use crate::topology::ClusterId;
 use accordion_varius::columns::TimingColumns;
 use accordion_varius::timing::{ClusterTiming, CoreTiming};
@@ -42,8 +42,6 @@ use accordion_varius::timing::{ClusterTiming, CoreTiming};
 pub struct ChipColumns {
     /// Flattened per-core timing at the chip's `VddNTV`.
     timing: TimingColumns,
-    /// Energy efficiency of each cluster (indexed by `ClusterId`).
-    efficiency: Vec<f64>,
     /// Clusters in efficiency-descending order: every selection of `n`
     /// is `order[..n]`.
     order: Vec<ClusterId>,
@@ -77,7 +75,6 @@ impl ChipColumns {
         }
         Self {
             timing: TimingColumns::from_clusters(&chip.sample().cluster_timing),
-            efficiency,
             order,
             prefix_safe_f_ghz,
         }
@@ -86,12 +83,6 @@ impl ChipColumns {
     /// Number of clusters.
     pub fn num_clusters(&self) -> usize {
         self.order.len()
-    }
-
-    /// Energy efficiency of one cluster (same bits as
-    /// [`Chip::cluster_efficiency`]).
-    pub fn efficiency(&self, cluster: ClusterId) -> f64 {
-        self.efficiency[cluster.0]
     }
 
     /// Clusters in efficiency-descending order.
@@ -225,14 +216,10 @@ impl OperatingTimings {
     }
 }
 
-/// The policy the columnar prefix order reproduces; exported so
-/// callers can assert they are not silently diverging from the legacy
-/// path when a different policy is requested.
-pub const COLUMNAR_POLICY: SelectionPolicy = SelectionPolicy::EnergyEfficiency;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::selection::SelectionPolicy;
 
     fn chip() -> Chip {
         Chip::fabricate_small(4).unwrap()
@@ -243,7 +230,7 @@ mod tests {
         let chip = chip();
         let cols = ChipColumns::build(&chip);
         for n in 1..=chip.topology().num_clusters() {
-            let legacy = ClusterSelection::select(&chip, n, COLUMNAR_POLICY);
+            let legacy = ClusterSelection::select(&chip, n, SelectionPolicy::EnergyEfficiency);
             let batched = cols.selection_prefix(n);
             assert_eq!(legacy, batched, "prefix {n}");
             assert_eq!(
@@ -259,7 +246,7 @@ mod tests {
         let chip = chip();
         let cols = ChipColumns::build(&chip);
         for n in 1..=chip.topology().num_clusters() {
-            let legacy = ClusterSelection::select(&chip, n, COLUMNAR_POLICY);
+            let legacy = ClusterSelection::select(&chip, n, SelectionPolicy::EnergyEfficiency);
             for perr in [1e-16, 1e-9, 1e-6] {
                 assert_eq!(
                     legacy.f_for_perr_ghz(&chip, perr).to_bits(),
@@ -267,18 +254,6 @@ mod tests {
                     "n={n} perr={perr}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn efficiencies_match_chip_bitwise() {
-        let chip = chip();
-        let cols = ChipColumns::build(&chip);
-        for c in 0..chip.topology().num_clusters() {
-            assert_eq!(
-                cols.efficiency(ClusterId(c)).to_bits(),
-                chip.cluster_efficiency(ClusterId(c)).to_bits()
-            );
         }
     }
 

@@ -2,12 +2,12 @@
 //! layer: over random populations (fabrication seeds) and random
 //! operating points (cluster-count, `Perr`, supply), every columnar
 //! query must return the **same bits** as the object-walking path it
-//! replaces. This is the contract that lets the sweep drivers switch
-//! engines without perturbing a single golden artifact.
+//! replaces. This is the contract that lets the sweep drivers read the
+//! columns without perturbing a single golden artifact.
 
 use accordion_chip::chip::Chip;
-use accordion_chip::columns::{ChipColumns, OperatingTimings, COLUMNAR_POLICY};
-use accordion_chip::selection::ClusterSelection;
+use accordion_chip::columns::{ChipColumns, OperatingTimings};
+use accordion_chip::selection::{ClusterSelection, SelectionPolicy};
 use accordion_chip::topology::ClusterId;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -53,7 +53,7 @@ proptest! {
     fn selection_prefix_matches_legacy_select(chip_idx in 0usize..POP, n in 1usize..16) {
         let (chip, cols) = &population()[chip_idx];
         let n = 1 + (n - 1) % chip.topology().num_clusters();
-        let legacy = ClusterSelection::select(chip, n, COLUMNAR_POLICY);
+        let legacy = ClusterSelection::select(chip, n, SelectionPolicy::EnergyEfficiency);
         let batched = cols.selection_prefix(n);
         prop_assert_eq!(&legacy, &batched);
         prop_assert_eq!(legacy.safe_f_ghz().to_bits(), cols.safe_f_ghz(n).to_bits());
@@ -68,7 +68,7 @@ proptest! {
         let (chip, cols) = &population()[chip_idx];
         let n = 1 + (n - 1) % chip.topology().num_clusters();
         let perr = 10f64.powi(-exp);
-        let legacy = ClusterSelection::select(chip, n, COLUMNAR_POLICY);
+        let legacy = ClusterSelection::select(chip, n, SelectionPolicy::EnergyEfficiency);
         prop_assert_eq!(
             cols.f_for_perr_ghz(n, perr).to_bits(),
             legacy.f_for_perr_ghz(chip, perr).to_bits(),

@@ -16,28 +16,10 @@ use accordion_apps::app::RmsApp;
 use accordion_apps::harness::{FrontSet, Scenario};
 use accordion_chip::chip::Chip;
 use accordion_chip::columns::ChipColumns;
-use accordion_chip::selection::{ClusterSelection, SelectionPolicy};
+use accordion_chip::selection::ClusterSelection;
 use accordion_sim::exec::ExecModel;
 use accordion_telemetry::event::SimEvent;
 use accordion_telemetry::{flight, span};
-
-/// Which evaluation path answers the extractor's per-point queries.
-///
-/// Both paths are bit-identical (pinned by `tests/determinism.rs` and
-/// the columnar proptests); `Scalar` exists as the reference the
-/// batched engine is benchmarked and verified against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SweepEngine {
-    /// Columnar: per-chip invariants (cluster efficiencies, the
-    /// efficiency order, prefix safe frequencies, timing columns) are
-    /// computed once per extractor and every grid cell is served from
-    /// flat array passes.
-    #[default]
-    Batched,
-    /// Legacy object path: every cell re-sorts clusters and re-walks
-    /// the per-cluster timing objects.
-    Scalar,
-}
 
 /// Relative tolerance around `size_norm = 1` that counts as Still.
 const STILL_TOL: f64 = 0.02;
@@ -194,20 +176,15 @@ impl<'a> ParetoExtractor<'a> {
         &self.baseline
     }
 
-    /// Extracts all four mode-family fronts with the batched engine.
+    /// Extracts all four mode-family fronts.
     pub fn extract(&self) -> Vec<ParetoFront> {
-        self.extract_with(SweepEngine::Batched)
-    }
-
-    /// Extracts all four mode-family fronts with an explicit engine.
-    pub fn extract_with(&self, engine: SweepEngine) -> Vec<ParetoFront> {
         Mode::FIGURE_MODES
             .iter()
-            .map(|&flavor| self.extract_flavor(engine, flavor))
+            .map(|&flavor| self.extract_flavor(flavor))
             .collect()
     }
 
-    fn extract_flavor(&self, engine: SweepEngine, flavor: Mode) -> ParetoFront {
+    fn extract_flavor(&self, flavor: Mode) -> ParetoFront {
         let _span = span!("sweep.extract_flavor");
         let cells: Vec<f64> = self
             .sizes
@@ -222,23 +199,21 @@ impl<'a> ParetoExtractor<'a> {
         let n_cells = cells.len() as u64;
         let points: Vec<ParetoPoint> = cells
             .into_iter()
-            .filter_map(|s| self.solve_point_with(engine, flavor, s))
+            .filter_map(|s| self.solve_point(flavor, s))
             .collect();
-        if engine == SweepEngine::Batched {
-            flight!(SimEvent::SweepFrontRetire {
-                policy: match flavor.policy {
-                    FrequencyPolicy::Safe => "safe",
-                    FrequencyPolicy::Speculative => "speculative",
-                },
-                scaling: match flavor.scaling {
-                    ProblemScaling::Compress => "compress",
-                    ProblemScaling::Expand => "expand",
-                    ProblemScaling::Still => "still",
-                },
-                cells: n_cells,
-                points: points.len() as u64,
-            });
-        }
+        flight!(SimEvent::SweepFrontRetire {
+            policy: match flavor.policy {
+                FrequencyPolicy::Safe => "safe",
+                FrequencyPolicy::Speculative => "speculative",
+            },
+            scaling: match flavor.scaling {
+                ProblemScaling::Compress => "compress",
+                ProblemScaling::Expand => "expand",
+                ProblemScaling::Still => "still",
+            },
+            cells: n_cells,
+            points: points.len() as u64,
+        });
         ParetoFront {
             app: self.app.name().to_string(),
             flavor,
@@ -247,32 +222,14 @@ impl<'a> ParetoExtractor<'a> {
     }
 
     /// Finds the minimal cluster count achieving iso-execution time at
-    /// problem size `size_norm` under `flavor`'s frequency policy,
-    /// using the batched engine. Returns `None` when no cluster count
-    /// suffices (N-limited).
+    /// problem size `size_norm` under `flavor`'s frequency policy.
+    /// Returns `None` when no cluster count suffices (N-limited).
+    ///
+    /// Cluster counts walk precomputed prefixes of the efficiency
+    /// order — no sorting, no per-candidate selection materialization
+    /// (the `ClusterSelection` is only assembled for the accepted
+    /// count), one quantile inversion per frequency query.
     pub fn solve_point(&self, flavor: Mode, size_norm: f64) -> Option<ParetoPoint> {
-        self.solve_point_with(SweepEngine::Batched, flavor, size_norm)
-    }
-
-    /// [`Self::solve_point`] with an explicit engine. Both engines
-    /// return bit-identical points.
-    pub fn solve_point_with(
-        &self,
-        engine: SweepEngine,
-        flavor: Mode,
-        size_norm: f64,
-    ) -> Option<ParetoPoint> {
-        match engine {
-            SweepEngine::Batched => self.solve_point_batched(flavor, size_norm),
-            SweepEngine::Scalar => self.solve_point_scalar(flavor, size_norm),
-        }
-    }
-
-    /// Batched cell solve: cluster counts walk precomputed prefixes of
-    /// the efficiency order — no sorting, no per-candidate selection
-    /// materialization (the `ClusterSelection` is only assembled for
-    /// the accepted count), one quantile inversion per frequency query.
-    fn solve_point_batched(&self, flavor: Mode, size_norm: f64) -> Option<ParetoPoint> {
         let _span = span!("sweep.cell.batched");
         let topo = self.chip.topology();
         let w = self.baseline.workload.scaled(size_norm);
@@ -283,7 +240,7 @@ impl<'a> ParetoExtractor<'a> {
             let (f, perr) = match flavor.policy {
                 FrequencyPolicy::Safe => (f_safe, 0.0),
                 FrequencyPolicy::Speculative => {
-                    self.speculative_frequency_batched(clusters, &w, n_ntv, f_safe)
+                    self.speculative_frequency(clusters, &w, n_ntv, f_safe)
                 }
             };
             let time = self.exec.execution_time_s(&w, n_ntv, f);
@@ -307,57 +264,13 @@ impl<'a> ParetoExtractor<'a> {
         None
     }
 
-    /// Reference cell solve: the legacy object path, kept verbatim as
-    /// the bit-identity baseline for the batched engine (and the
-    /// denominator of the `sweep_batched_vs_scalar` bench gate).
-    fn solve_point_scalar(&self, flavor: Mode, size_norm: f64) -> Option<ParetoPoint> {
-        let _span = span!("sweep.cell.scalar");
-        let topo = self.chip.topology();
-        let w = self.baseline.workload.scaled(size_norm);
-        for clusters in 1..=topo.num_clusters() {
-            let sel =
-                ClusterSelection::select(self.chip, clusters, SelectionPolicy::EnergyEfficiency);
-            let n_ntv = sel.num_cores(self.chip);
-            let f_safe = sel.safe_f_ghz();
-            let (f, perr) = match flavor.policy {
-                FrequencyPolicy::Safe => (f_safe, 0.0),
-                FrequencyPolicy::Speculative => self.speculative_frequency(&sel, &w, n_ntv, f_safe),
-            };
-            let time = self.exec.execution_time_s(&w, n_ntv, f);
-            if time <= self.baseline.exec_time_s * (1.0 + 1e-9) {
-                return Some(
-                    self.make_point(flavor, size_norm, sel, n_ntv, f, f_safe, perr, time, &w),
-                );
-            }
-        }
-        None
-    }
-
     /// Fixed-point solve of the speculative frequency: the error rate
     /// is dictated by the execution time per infected thread —
     /// `Perr = 1/e` for `e`-cycle threads (Section 6.3) — while the
     /// thread length itself depends on the frequency through the CPI.
+    /// Each binding-frequency query is one hoisted quantile inversion
+    /// over the columnar prefix.
     fn speculative_frequency(
-        &self,
-        sel: &ClusterSelection,
-        w: &accordion_sim::workload::Workload,
-        n_ntv: usize,
-        f_safe: f64,
-    ) -> (f64, f64) {
-        let mut f = f_safe;
-        let mut perr = 0.0;
-        for _ in 0..3 {
-            let cycles = self.exec.thread_cycles(w, w.work_units / n_ntv as f64, f);
-            perr = (1.0 / cycles.max(1.0)).min(PERR_SPECULATIVE_CAP);
-            f = sel.f_for_perr_ghz(self.chip, perr).max(f_safe);
-        }
-        (f, perr)
-    }
-
-    /// [`Self::speculative_frequency`] against the columnar prefix:
-    /// the same 3-iteration fixed point, with the binding-frequency
-    /// query served by one hoisted quantile inversion per iteration.
-    fn speculative_frequency_batched(
         &self,
         clusters: usize,
         w: &accordion_sim::workload::Workload,
@@ -421,7 +334,60 @@ impl<'a> ParetoExtractor<'a> {
 mod tests {
     use super::*;
     use accordion_apps::hotspot::Hotspot;
+    use accordion_chip::selection::SelectionPolicy;
     use std::sync::OnceLock;
+
+    /// The object-path oracle for [`ParetoExtractor::solve_point`]:
+    /// every cell re-sorts the clusters and re-walks the per-cluster
+    /// timing objects. Slow, but built only from the selection and
+    /// timing primitives the columnar engine must reproduce.
+    impl ParetoExtractor<'_> {
+        fn solve_point_scalar(&self, flavor: Mode, size_norm: f64) -> Option<ParetoPoint> {
+            let topo = self.chip.topology();
+            let w = self.baseline.workload.scaled(size_norm);
+            for clusters in 1..=topo.num_clusters() {
+                let sel = ClusterSelection::select(
+                    self.chip,
+                    clusters,
+                    SelectionPolicy::EnergyEfficiency,
+                );
+                let n_ntv = sel.num_cores(self.chip);
+                let f_safe = sel.safe_f_ghz();
+                let (f, perr) = match flavor.policy {
+                    FrequencyPolicy::Safe => (f_safe, 0.0),
+                    FrequencyPolicy::Speculative => {
+                        self.speculative_frequency_scalar(&sel, &w, n_ntv, f_safe)
+                    }
+                };
+                let time = self.exec.execution_time_s(&w, n_ntv, f);
+                if time <= self.baseline.exec_time_s * (1.0 + 1e-9) {
+                    return Some(
+                        self.make_point(flavor, size_norm, sel, n_ntv, f, f_safe, perr, time, &w),
+                    );
+                }
+            }
+            None
+        }
+
+        /// The speculative fixed point of `speculative_frequency`,
+        /// querying the selection object instead of the columns.
+        fn speculative_frequency_scalar(
+            &self,
+            sel: &ClusterSelection,
+            w: &accordion_sim::workload::Workload,
+            n_ntv: usize,
+            f_safe: f64,
+        ) -> (f64, f64) {
+            let mut f = f_safe;
+            let mut perr = 0.0;
+            for _ in 0..3 {
+                let cycles = self.exec.thread_cycles(w, w.work_units / n_ntv as f64, f);
+                perr = (1.0 / cycles.max(1.0)).min(PERR_SPECULATIVE_CAP);
+                f = sel.f_for_perr_ghz(self.chip, perr).max(f_safe);
+            }
+            (f, perr)
+        }
+    }
 
     fn fronts() -> &'static (Chip, Hotspot, Vec<ParetoFront>) {
         static CACHE: OnceLock<(Chip, Hotspot, Vec<ParetoFront>)> = OnceLock::new();
@@ -448,13 +414,23 @@ mod tests {
         }
     }
 
+    /// Every cell the fronts are built from, solved by the columnar
+    /// engine and by the object-path oracle: same points, same bits
+    /// (`Debug` formatting of `f64` round-trips bits).
     #[test]
     fn batched_engine_matches_scalar() {
-        let (chip, app, batched) = fronts();
+        let (chip, app, _) = fronts();
         let set = FrontSet::measure(app);
         let extractor = ParetoExtractor::new(chip, app, &set);
-        let scalar = extractor.extract_with(SweepEngine::Scalar);
-        assert_eq!(*batched, scalar, "engines must agree point-for-point");
+        for flavor in Mode::FIGURE_MODES {
+            for &s in &extractor.sizes {
+                assert_eq!(
+                    format!("{:?}", extractor.solve_point(flavor, s)),
+                    format!("{:?}", extractor.solve_point_scalar(flavor, s)),
+                    "{flavor} at size {s}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,9 +14,12 @@
 //!   a result, and parallel candidates at one supply derive it once.
 //! * a **candidate memo** — the NSGA-II loop revisits operating points
 //!   constantly (elitism keeps parents around; mutation often lands on
-//!   a previous candidate). The memo makes a repeat evaluation a hash
-//!   lookup. Hits and misses feed the `opt_evals_total` /
-//!   `opt_eval_cache_hits_total` counters and the report's hit ratio.
+//!   a previous candidate). The per-evaluator [`Memo`]
+//!   (`opt.eval_cache`) makes a repeat evaluation a hash lookup. It is
+//!   unbounded: the evaluator lives for one request, and without
+//!   eviction its miss count is the number of distinct candidates at
+//!   any worker count, so the report's `evals` / `cache_hits` are a
+//!   pure function of the request.
 //!
 //! The chip itself comes from the process-wide
 //! [`accordion_chip::popcache`], and the quality fronts from the
@@ -35,10 +38,7 @@ use accordion_chip::popcache;
 use accordion_chip::topology::Topology;
 use accordion_pool::Memo;
 use accordion_sim::exec::ExecModel;
-use accordion_telemetry::counter;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Timing contexts kept live per evaluator (LRU); large enough for a
 /// bisection's working set, small enough that a long NSGA-II run over
@@ -97,9 +97,8 @@ pub struct Evaluator {
     baseline: StvBaseline,
     /// Per-supply timing contexts, keyed by millivolts.
     ctxs: Memo<u32, Arc<OperatingTimings>>,
-    memo: Mutex<HashMap<Candidate, OperatingPoint>>,
-    evals: AtomicU64,
-    memo_hits: AtomicU64,
+    /// Evaluated candidates.
+    points: Memo<Candidate, OperatingPoint>,
 }
 
 impl Evaluator {
@@ -147,9 +146,7 @@ impl Evaluator {
             exec,
             baseline,
             ctxs: Memo::new("opt.ctx_cache", CTX_CAPACITY),
-            memo: Mutex::new(HashMap::new()),
-            evals: AtomicU64::new(0),
-            memo_hits: AtomicU64::new(0),
+            points: Memo::new("opt.eval_cache", usize::MAX),
         })
     }
 
@@ -175,13 +172,8 @@ impl Evaluator {
 
     /// `(fresh evaluations, memo hits, ctx hits, ctx misses)` so far.
     pub fn stats(&self) -> (u64, u64, u64, u64) {
-        let ctx = self.ctxs.stats();
-        (
-            self.evals.load(Ordering::Relaxed),
-            self.memo_hits.load(Ordering::Relaxed),
-            ctx.hits,
-            ctx.misses,
-        )
+        let (points, ctx) = (self.points.stats(), self.ctxs.stats());
+        (points.misses, points.hits, ctx.hits, ctx.misses)
     }
 
     /// The per-supply timing context for `vdd_mv`, derived at most
@@ -255,53 +247,15 @@ impl Evaluator {
 
     /// Evaluates one candidate through the memo.
     pub fn point(&self, c: Candidate) -> OperatingPoint {
-        if let Some(hit) = self.memo.lock().expect("memo lock").get(&c) {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            counter!("opt.eval_cache.hits").inc();
-            return hit.clone();
-        }
-        self.evals.fetch_add(1, Ordering::Relaxed);
-        counter!("opt.evals").inc();
-        let p = self.eval_uncached(c);
-        self.memo.lock().expect("memo lock").insert(c, p.clone());
-        p
+        self.points.get_or_insert_with(&c, || self.eval_uncached(c))
     }
 
-    /// Evaluates a batch: memo misses fan out over `workers` pool
-    /// threads (ordered parallel map — byte-identical at any worker
-    /// count), hits replay from the memo. Results are in input order.
+    /// Evaluates a batch over `workers` pool threads (ordered parallel
+    /// map — byte-identical at any worker count). A candidate repeated
+    /// within the batch is evaluated once; its other lookups hit or
+    /// join. Results are in input order.
     pub fn batch(&self, cands: &[Candidate], workers: usize) -> Vec<OperatingPoint> {
-        // Collect the distinct misses in first-appearance order so the
-        // parallel fan-out sees a deterministic work list.
-        let mut fresh: Vec<Candidate> = Vec::new();
-        {
-            let memo = self.memo.lock().expect("memo lock");
-            let mut seen: Vec<Candidate> = Vec::new();
-            for &c in cands {
-                if !memo.contains_key(&c) && !seen.contains(&c) {
-                    seen.push(c);
-                    fresh.push(c);
-                }
-            }
-        }
-        let hits = (cands.len() - fresh.len()) as u64;
-        self.memo_hits.fetch_add(hits, Ordering::Relaxed);
-        counter!("opt.eval_cache.hits").add(hits);
-        self.evals.fetch_add(fresh.len() as u64, Ordering::Relaxed);
-        counter!("opt.evals").add(fresh.len() as u64);
-        let points =
-            accordion_pool::par_map_with(workers, fresh.clone(), |c| self.eval_uncached(c));
-        {
-            let mut memo = self.memo.lock().expect("memo lock");
-            for (c, p) in fresh.iter().zip(points) {
-                memo.insert(*c, p);
-            }
-        }
-        let memo = self.memo.lock().expect("memo lock");
-        cands
-            .iter()
-            .map(|c| memo.get(c).expect("batch populated the memo").clone())
-            .collect()
+        accordion_pool::par_map_with(workers, cands.to_vec(), |c| self.point(c))
     }
 }
 
@@ -380,5 +334,23 @@ mod tests {
         let (_, _, ctx_hits, ctx_misses) = e.stats();
         assert_eq!(ctx_misses, 3, "three distinct supplies derive contexts");
         assert!(ctx_hits > ctx_misses, "adjacent candidates reuse contexts");
+    }
+
+    #[test]
+    fn batch_evaluates_each_distinct_candidate_once() {
+        // Six distinct candidates, each repeated, interleaved so that
+        // repeats land on different workers.
+        let distinct: Vec<Candidate> = (0..6u32)
+            .map(|i| cand(500 + (i % 2) * 100, 1 + i % 2, 900 + i * 20, GB_SAFE_CENTI))
+            .collect();
+        let cands: Vec<Candidate> = (0..20).map(|i| distinct[(i * 5) % 6]).collect();
+        for workers in [1, 4] {
+            let e = Evaluator::new(Topology::small(), 7003, 2, 0, "hotspot").expect("evaluator");
+            let expected: Vec<OperatingPoint> = cands.iter().map(|&c| e.eval_uncached(c)).collect();
+            assert_eq!(e.batch(&cands, workers), expected, "{workers} workers");
+            let (evals, hits, _, _) = e.stats();
+            assert_eq!(evals, 6, "{workers} workers: one evaluation per candidate");
+            assert_eq!(hits, 14, "{workers} workers: every repeat hits");
+        }
     }
 }

@@ -25,8 +25,8 @@
 //! * [`report`] — the deterministic JSON report shared by
 //!   `repro optimize` and `POST /v1/optimize`.
 //!
-//! Telemetry: `opt.generation` spans, `opt_evals_total` /
-//! `opt_eval_cache_hits_total` / `opt_ctx_cache_*` counters, an
+//! Telemetry: `opt.generation` spans, `opt_eval_cache_*` (candidate
+//! memo) and `opt_ctx_cache_*` (timing contexts) counters, an
 //! `opt_cache_hit_ratio` gauge, and one flight-recorder track per
 //! generation (`opt/gen{g}`) carrying
 //! [`SimEvent::OptGeneration`](accordion_telemetry::event::SimEvent)

@@ -325,9 +325,9 @@ fn simulate_at(q: &SimQuery, chip: &Chip, ctx: &OperatingTimings) -> Result<Json
 }
 
 /// Parses and runs a `/v1/sweep` body: the same fields as
-/// `/v1/simulate` except `vdd_mv` and `size` may be arrays; the cross
-/// product becomes the grid, executed as one ordered parallel map over
-/// `workers` pool threads.
+/// `/v1/simulate` except `vdd_mv` and `size` may be arrays (a number
+/// is a one-point axis); the cross product becomes the grid, executed
+/// as one ordered parallel map over `workers` pool threads.
 ///
 /// # Errors
 ///
@@ -335,23 +335,11 @@ fn simulate_at(q: &SimQuery, chip: &Chip, ctx: &OperatingTimings) -> Result<Json
 /// [`EngineError::Internal`] on model failures in any grid point.
 pub fn sweep(doc: &Json, workers: usize) -> Result<Json, EngineError> {
     let _span = span!("served.engine.sweep");
-    let vdds: Vec<Option<f64>> = match doc.get("vdd_mv") {
-        Some(Json::Arr(items)) => items
-            .iter()
-            .map(|v| v.as_f64().ok_or("vdd_mv entries must be numbers"))
-            .map(|r| r.map(Some))
-            .collect::<Result<_, _>>()
-            .map_err(|e| EngineError::Bad(e.into()))?,
-        _ => vec![None],
+    let vdds: Vec<Option<f64>> = match axis(doc, "vdd_mv")? {
+        Some(mvs) => mvs.into_iter().map(Some).collect(),
+        None => vec![None],
     };
-    let sizes: Vec<f64> = match doc.get("size") {
-        Some(Json::Arr(items)) => items
-            .iter()
-            .map(|v| v.as_f64().ok_or("size entries must be numbers"))
-            .collect::<Result<_, _>>()
-            .map_err(|e| EngineError::Bad(e.into()))?,
-        _ => vec![1.0],
-    };
+    let sizes = axis(doc, "size")?.unwrap_or_else(|| vec![1.0]);
     if vdds.is_empty() || sizes.is_empty() {
         return Err(EngineError::Bad(
             "vdd_mv/size arrays must be non-empty".into(),
@@ -448,6 +436,25 @@ pub fn sweep(doc: &Json, workers: usize) -> Result<Json, EngineError> {
         ("count", Json::Num(rendered.len() as f64)),
         ("grid", Json::Arr(rendered)),
     ]))
+}
+
+/// One sweep axis: an array of numbers, or a number as a one-point
+/// axis. `None` when the field is absent or null; anything else gets
+/// the message `/v1/simulate` gives for the field.
+fn axis(doc: &Json, key: &str) -> Result<Option<Vec<f64>>, EngineError> {
+    match doc.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(Json::Arr(items)) => items
+            .iter()
+            .map(|v| v.as_f64().ok_or(format!("{key} entries must be numbers")))
+            .collect::<Result<_, _>>()
+            .map(Some),
+        Some(v) => v
+            .as_f64()
+            .map(|x| Some(vec![x]))
+            .ok_or(format!("{key} must be a number")),
+    }
+    .map_err(EngineError::Bad)
 }
 
 fn set_field(doc: &mut Json, key: &str, value: Json) {
@@ -654,6 +661,31 @@ mod tests {
     }
 
     #[test]
+    fn sweep_rejects_bad_axes_like_simulate() {
+        for body in [
+            r#"{"app": "hotspot", "topo": "small", "chips": 2, "size": "big"}"#,
+            r#"{"app": "hotspot", "topo": "small", "chips": 2, "vdd_mv": true}"#,
+            r#"{"app": "hotspot", "topo": "small", "chips": 2, "vdd_mv": {"mv": 600}}"#,
+        ] {
+            let doc = json::parse(body).unwrap();
+            let simulate_msg = SimQuery::from_json(&doc).unwrap_err();
+            match sweep(&doc, 1) {
+                Err(EngineError::Bad(msg)) => assert_eq!(msg, simulate_msg, "{body}"),
+                other => panic!("{body}: expected a 400, got {other:?}"),
+            }
+        }
+        for body in [
+            r#"{"app": "hotspot", "size": ["big"]}"#,
+            r#"{"app": "hotspot", "vdd_mv": []}"#,
+            r#"{"app": "hotspot", "vdd_mv": 90}"#,
+            r#"{"app": "hotspot", "size": 500}"#,
+        ] {
+            let doc = json::parse(body).unwrap();
+            assert!(matches!(sweep(&doc, 1), Err(EngineError::Bad(_))), "{body}");
+        }
+    }
+
+    #[test]
     fn simulate_is_deterministic_and_sane() {
         let mut q = query(r#"{"app": "hotspot", "topo": "small", "chips": 2}"#);
         q.pop_seed = 9101;
@@ -770,5 +802,15 @@ mod tests {
                 );
             }
         }
+        // A number is a one-point axis: the sweep answers exactly what
+        // `/v1/simulate` answers for the same body.
+        let body = r#"{"app": "hotspot", "topo": "small", "chips": 2, "pop_seed": 9103,
+            "vdd_mv": 700, "size": 0.5}"#;
+        let doc = json::parse(body).unwrap();
+        let grid = sweep(&doc, 2).unwrap();
+        assert_eq!(
+            grid.get("grid").map(Json::render),
+            Some(Json::Arr(vec![simulate(&query(body)).unwrap()]).render())
+        );
     }
 }

@@ -1177,8 +1177,8 @@ fn describe_metrics() {
         "self-scrape tick duration (registry gather + TSDB fold + alert eval), microseconds",
     );
     reg.describe(
-        "opt.evals",
-        "operating points evaluated by the optimizer (memo misses)",
+        "opt.eval_cache.misses",
+        "operating points evaluated by the optimizer (candidate memo misses)",
     );
     reg.describe(
         "opt.eval_cache.hits",

@@ -12,8 +12,7 @@
 //! two contiguous `Vec<f64>` columns with CSR-style cluster offsets,
 //! and hoists the `z` inversion to once per `(Ncp, Perr)` query. A
 //! per-cluster frequency query is then a flat pass over
-//! `1 / (μ[i] + z·σ[i])` — autovectorizable by default, with an
-//! optional explicitly-SIMD kernel behind the `simd` cargo feature.
+//! `1 / (μ[i] + z·σ[i])`, written so LLVM can autovectorize it.
 //!
 //! # Bit-identity contract
 //!
@@ -29,9 +28,8 @@
 //!   the non-NaN values produced here, so lane order cannot change the
 //!   result. Sums are *never* reassociated by this module.
 //!
-//! The golden-artifact suite and `tests/determinism.rs` pin this
-//! contract; `scripts/check.sh` re-runs the full suite with
-//! `--features simd` so the SIMD kernel is held to the same bytes.
+//! The golden-artifact suite and `crates/chip/tests/columns_props.rs`
+//! pin this contract.
 
 use crate::timing::{ClusterTiming, CoreTiming};
 
@@ -117,7 +115,7 @@ impl TimingColumns {
     /// the members.
     pub fn cluster_frequency_at_z(&self, cluster: usize, z: f64) -> f64 {
         let r = self.cluster_range(cluster);
-        kernel::min_inv_affine(&self.mu_ns[r.clone()], &self.sigma_ns[r], z)
+        min_inv_affine(&self.mu_ns[r.clone()], &self.sigma_ns[r], z)
     }
 
     /// Frequency at which `cluster`'s slowest member sees per-cycle
@@ -128,7 +126,7 @@ impl TimingColumns {
         let ncp = self.ncp[r.start];
         if self.ncp[r.clone()].iter().all(|&n| n == ncp) {
             let z = CoreTiming::z_for_perr(ncp, perr_target);
-            kernel::min_inv_affine(&self.mu_ns[r.clone()], &self.sigma_ns[r], z)
+            min_inv_affine(&self.mu_ns[r.clone()], &self.sigma_ns[r], z)
         } else {
             // Mixed path counts: per-core inversion, like the legacy
             // slow path.
@@ -169,24 +167,6 @@ impl TimingColumns {
         }
     }
 
-    /// Per-cluster frequencies at `perr_target`, written into `out`
-    /// (cleared first). One `z` inversion, then one flat pass per
-    /// cluster.
-    pub fn frequencies_for_perr_into(&self, perr_target: f64, out: &mut Vec<f64>) {
-        out.clear();
-        match self.shared_z_for_perr(perr_target) {
-            Some(z) => {
-                out.extend((0..self.num_clusters()).map(|c| self.cluster_frequency_at_z(c, z)));
-            }
-            None => {
-                out.extend(
-                    (0..self.num_clusters())
-                        .map(|c| self.cluster_frequency_for_perr(c, perr_target)),
-                );
-            }
-        }
-    }
-
     /// Index (within the cluster) of the member binding the cluster's
     /// frequency at `perr_target` — the first member attaining the
     /// minimum, matching [`ClusterTiming::slowest_core`]'s strict
@@ -212,52 +192,17 @@ impl TimingColumns {
     }
 }
 
-/// The elementwise kernel: `min over i of 1 / (mu[i] + z * sigma[i])`.
-///
-/// The scalar form is written so LLVM can autovectorize it; the `simd`
-/// feature swaps in an explicit SSE2 version on `x86_64`. Both are
-/// bit-identical: per-element IEEE-754 mul/add/div (never fused), and
-/// a `min` reduction whose result is an exact element of the input —
-/// association order cannot change which value is the minimum.
-mod kernel {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    pub fn min_inv_affine(mu: &[f64], sigma: &[f64], z: f64) -> f64 {
-        use std::arch::x86_64::*;
-        debug_assert_eq!(mu.len(), sigma.len());
-        let n = mu.len();
-        let pairs = n - n % 2;
-        // SSE2 is part of the x86_64 baseline, so the intrinsics are
-        // unconditionally available; `unsafe` covers only the
-        // unaligned loads, whose bounds are checked by the loop.
-        let mut f_min = unsafe {
-            let one = _mm_set1_pd(1.0);
-            let zz = _mm_set1_pd(z);
-            let mut acc = _mm_set1_pd(f64::INFINITY);
-            let mut i = 0;
-            while i < pairs {
-                let m = _mm_loadu_pd(mu.as_ptr().add(i));
-                let s = _mm_loadu_pd(sigma.as_ptr().add(i));
-                // mul, add, div: the exact scalar operation order.
-                let t = _mm_add_pd(m, _mm_mul_pd(zz, s));
-                acc = _mm_min_pd(acc, _mm_div_pd(one, t));
-                i += 2;
-            }
-            _mm_cvtsd_f64(_mm_min_sd(acc, _mm_unpackhi_pd(acc, acc)))
-        };
-        for i in pairs..n {
-            f_min = f_min.min(1.0 / (mu[i] + z * sigma[i]));
-        }
-        f_min
-    }
-
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    pub fn min_inv_affine(mu: &[f64], sigma: &[f64], z: f64) -> f64 {
-        debug_assert_eq!(mu.len(), sigma.len());
-        mu.iter()
-            .zip(sigma)
-            .map(|(&m, &s)| 1.0 / (m + z * s))
-            .fold(f64::INFINITY, f64::min)
-    }
+/// The elementwise kernel: `min over i of 1 / (mu[i] + z * sigma[i])`,
+/// written so LLVM can autovectorize it. Per-element IEEE-754
+/// mul/add/div (never fused), and a `min` reduction whose result is
+/// an exact element of the input — association order cannot change
+/// which value is the minimum.
+fn min_inv_affine(mu: &[f64], sigma: &[f64], z: f64) -> f64 {
+    debug_assert_eq!(mu.len(), sigma.len());
+    mu.iter()
+        .zip(sigma)
+        .map(|(&m, &s)| 1.0 / (m + z * s))
+        .fold(f64::INFINITY, f64::min)
 }
 
 #[cfg(test)]
@@ -335,21 +280,6 @@ mod tests {
             assert!(
                 std::ptr::eq(legacy, &cluster.cores()[by_cols]),
                 "cluster {c}: slowest index {by_cols} disagrees"
-            );
-        }
-    }
-
-    #[test]
-    fn frequencies_into_matches_per_cluster() {
-        let (clusters, _) = fixture_clusters();
-        let cols = TimingColumns::from_clusters(&clusters);
-        let mut out = Vec::new();
-        cols.frequencies_for_perr_into(1e-10, &mut out);
-        assert_eq!(out.len(), 3);
-        for (c, cluster) in clusters.iter().enumerate() {
-            assert_eq!(
-                out[c].to_bits(),
-                cluster.frequency_for_perr(1e-10).to_bits()
             );
         }
     }

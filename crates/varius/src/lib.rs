@@ -15,8 +15,7 @@
 //!   per-cycle timing-error rate `Perr(f)` (Figure 5b) and safe /
 //!   speculative frequency solvers,
 //! * [`columns`] — the same timing model flattened to contiguous
-//!   struct-of-arrays columns for batched whole-chip sweeps (with an
-//!   optional `simd` feature for explicit SSE2 kernels),
+//!   struct-of-arrays columns for batched whole-chip sweeps,
 //! * [`sram`] — per-memory-block minimum supply voltage `VddMIN`
 //!   (Figure 5a) and the chip-wide `VddNTV` designation,
 //! * [`mem_timing`] — memory access-time derating at the block's local
@@ -37,6 +36,8 @@
 //! assert_eq!(chip.core_vth_delta_v.len(), 8);
 //! # Ok::<(), accordion_stats::field::FieldError>(())
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod columns;
 pub mod layout;

@@ -42,6 +42,9 @@ fi
 if [ "$fast" -eq 0 ]; then
     echo "==> scripts/bench.sh --check"
     scripts/bench.sh --check
+    # The gate compares against the committed baseline and must never
+    # rewrite it.
+    git diff --exit-code -- 'BENCH_*.json'
 
     # Flight-recorder smoke: profile one artifact, then prove the
     # emitted Chrome trace parses with the crate's own JSON parser
@@ -165,15 +168,6 @@ if [ "$fast" -eq 0 ]; then
     ACCORDION_JOBS=1 cargo test -q --workspace
     echo "==> ACCORDION_JOBS=8 cargo test -q --workspace"
     ACCORDION_JOBS=8 cargo test -q --workspace
-
-    # Third pass with the SSE2 columnar kernels: the `simd` feature
-    # must be drop-in — same artifacts, same bytes, and every crate's
-    # tests green. The golden suite rerunning green IS the bit-identity
-    # proof.
-    echo "==> cargo build --release --workspace --features simd"
-    cargo build --release --workspace --features simd
-    echo "==> cargo test -q --workspace --features simd"
-    cargo test -q --workspace --features simd
 fi
 
 echo "All checks passed."
