@@ -140,11 +140,11 @@ pub fn fdomain_ablation() -> Vec<(&'static str, f64)> {
     let mut per_cluster = 0.0;
     // Chip-wide domain: everything at the chip's slowest core.
     let mut chip_min = f64::INFINITY;
+    let timing = &chip.sample().timing;
     for c in 0..topo.num_clusters() {
-        let timing = chip.cluster_timing(accordion_chip::topology::ClusterId(c));
-        let cluster_f = timing.safe_frequency_ghz(&params);
+        let cluster_f = timing.cluster_safe_f_ghz(c, &params);
         per_cluster += topo.cores_per_cluster as f64 * cluster_f;
-        for core in timing.cores() {
+        for core in timing.cluster_cores(c) {
             let f = core.safe_frequency_ghz(&params);
             per_core += f;
             chip_min = chip_min.min(f);

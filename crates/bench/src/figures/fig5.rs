@@ -37,25 +37,19 @@ pub fn fig5a_report() -> String {
 }
 
 /// The Figure 5b curves: for each cluster, `(f_ghz, perr)` samples of
-/// the slowest core's error-rate curve at `VddNTV`. The slowest
-/// member is identified through the shared columnar timing view
-/// (same first-minimum scan as [`ClusterTiming::slowest_core`],
-/// pinned by the columnar proptests), so the chip-wide invariants are
-/// built once rather than per curve.
-///
-/// [`ClusterTiming::slowest_core`]: accordion_varius::timing::ClusterTiming::slowest_core
+/// the slowest core's error-rate curve at `VddNTV`, read from the
+/// chip's timing columns.
 pub fn fig5b_curves() -> Vec<Vec<(f64, f64)>> {
     let chip = chip0();
-    let cols = crate::chip0_columns();
+    let timing = &chip.sample().timing;
     let params = VariationParams::default();
     let n = chip.topology().num_clusters();
     // One task per cluster curve; cluster order is preserved.
     accordion_pool::par_map_indexed(n, |c| {
-        let timing = chip.cluster_timing(accordion_chip::topology::ClusterId(c));
-        let slowest_idx = cols
-            .timing()
-            .cluster_slowest_core(c, params.perr_safe_target);
-        let slowest = &timing.cores()[slowest_idx];
+        let slowest = timing
+            .cluster_cores(c)
+            .nth(timing.cluster_slowest_core(c, params.perr_safe_target))
+            .expect("the slowest member is a member");
         let mut curve = Vec::new();
         let mut f_ghz = 0.05;
         while f_ghz <= 1.5001 {

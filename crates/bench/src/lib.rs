@@ -15,7 +15,6 @@ pub mod profile;
 pub mod registry;
 
 use accordion_chip::chip::Chip;
-use accordion_chip::columns::ChipColumns;
 use std::sync::OnceLock;
 
 /// The representative fabricated chip (instance 0 of the population)
@@ -24,12 +23,4 @@ use std::sync::OnceLock;
 pub fn chip0() -> &'static Chip {
     static CHIP: OnceLock<Chip> = OnceLock::new();
     CHIP.get_or_init(|| Chip::fabricate_default(0).expect("chip fabrication"))
-}
-
-/// The representative chip's columnar invariants (efficiency order,
-/// prefix safe frequencies, timing columns), built once and shared by
-/// the sweep-style figure generators.
-pub fn chip0_columns() -> &'static ChipColumns {
-    static COLS: OnceLock<ChipColumns> = OnceLock::new();
-    COLS.get_or_init(|| ChipColumns::build(chip0()))
 }

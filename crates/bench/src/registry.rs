@@ -47,8 +47,11 @@ pub const ARTIFACT_SUMMARIES: &[(&str, &str)] = &[
         "fig1a",
         "Fig 1a: frequency vs Vdd for the 11 nm device model",
     ),
-    ("fig1b", "Fig 1b: energy/cycle vs Vdd and the NTV minimum"),
-    ("fig1c", "Fig 1c: variation-induced frequency spread at NTV"),
+    (
+        "fig1b",
+        "Fig 1b: timing error rate vs Vdd at the nominal clock",
+    ),
+    ("fig1c", "Fig 1c: timing guardband vs Vdd"),
     (
         "fig2",
         "Fig 2: RMS app quality vs problem size (safe input)",
@@ -57,30 +60,33 @@ pub const ARTIFACT_SUMMARIES: &[(&str, &str)] = &[
         "fig4",
         "Fig 4: quality under Drop 1/4 and Drop 1/2 scenarios",
     ),
-    (
-        "fig5a",
-        "Fig 5a: per-cluster safe frequency map of one chip",
-    ),
+    ("fig5a", "Fig 5a: per-cluster VddMIN histogram of one chip"),
     (
         "fig5b",
-        "Fig 5b: population histogram of cluster frequencies",
+        "Fig 5b: per-cluster timing-error-rate curves at VddNTV",
     ),
-    ("fig6", "Fig 6: speculative frequency gain vs error target"),
-    ("fig7", "Fig 7: makespan/energy of CC/DC organizations"),
-    ("tab1", "Table 1: RMS application and input-set summary"),
+    (
+        "fig6",
+        "Fig 6: iso-execution-time fronts (canneal, ferret, bodytrack, x264)",
+    ),
+    ("fig7", "Fig 7: iso-execution-time fronts (hotspot, srad)"),
+    ("tab1", "Table 1: basic Accordion modes of operation"),
     ("tab2", "Table 2: chip organization and derived parameters"),
-    ("tab3", "Table 3: evaluated configurations"),
+    (
+        "tab3",
+        "Table 3: measured knob dependencies of the RMS apps",
+    ),
     (
         "headline",
         "Headline comparison: Accordion vs rigid baselines",
     ),
     (
         "errmodel",
-        "Error-model bridge: Perr per cycle vs Drop fraction",
+        "Error-model validation: corruption modes vs Drop",
     ),
     ("ablate-selection", "Ablation: cluster-selection policies"),
-    ("ablate-phi", "Ablation: quality-target sweep"),
-    ("ablate-ncp", "Ablation: control-core provisioning"),
+    ("ablate-phi", "Ablation: correlation range phi"),
+    ("ablate-ncp", "Ablation: critical-path count per core"),
     ("ablate-fdomain", "Ablation: frequency-domain granularity"),
     ("ext-organization", "Extension: CC/DC design space sweep"),
     ("ext-checkpoint", "Extension: checkpoint/restart overhead"),

@@ -10,8 +10,7 @@ use accordion_stats::field::FieldError;
 use accordion_stats::rng::SeedStream;
 use accordion_telemetry::{counter, flight_track, span};
 use accordion_varius::params::VariationParams;
-use accordion_varius::population::{ChipPopulation, ChipSample};
-use accordion_varius::timing::ClusterTiming;
+use accordion_varius::population::{self, ChipSample};
 use accordion_vlsi::freq::FreqModel;
 use accordion_vlsi::tech::Technology;
 
@@ -111,23 +110,20 @@ impl Chip {
         let tech = Technology::node_11nm();
         let fm = FreqModel::calibrate(&tech);
         let plan = Floorplan::paper_default().site_plan(&topo);
-        // Generate `first + count` then keep the tail so that chip
-        // `index` is identical regardless of how it is requested.
-        let pop = ChipPopulation::generate(&plan, vparams, &fm, first as usize + count, seed)?;
+        // Chip `i` draws only from its own substream, so it is the same
+        // chip however it is requested.
+        let first = first as usize;
+        let samples = population::generate(&plan, vparams, &fm, first..first + count, seed)?;
         let power = ChipPowerModel::paper_default(&tech);
         // Deriving per-cluster operating limits is per-chip work with
         // no cross-chip state; fan it out while preserving index order
         // (the determinism contract of `accordion-pool`).
-        let tail: Vec<(usize, ChipSample)> = pop.samples()[first as usize..]
-            .iter()
-            .cloned()
-            .enumerate()
-            .collect();
-        Ok(accordion_pool::par_map(tail, |(i, sample)| {
+        let indexed: Vec<(usize, ChipSample)> = (first..).zip(samples).collect();
+        Ok(accordion_pool::par_map(indexed, |(i, sample)| {
             // Track identity is (topology, population index) — stable
             // whichever worker fabricates the chip, and disjoint from
             // other topologies fabricated in the same recording.
-            let _track = flight_track!("fab{}/chip{}", topo.num_clusters(), first as usize + i);
+            let _track = flight_track!("fab{}/chip{}", topo.num_clusters(), i);
             Self::from_sample(topo, vparams, &fm, &power, &plan, sample)
         }))
     }
@@ -222,17 +218,14 @@ impl Chip {
 
     /// Frequency at which a cluster's slowest core sees per-cycle
     /// error rate `perr` (speculative operation, Section 4.1).
-    pub fn cluster_f_for_perr_ghz(&self, cluster: ClusterId, perr: f64) -> f64 {
-        self.cluster_timing(cluster).frequency_for_perr(perr)
-    }
-
-    /// Timing model of a cluster.
     ///
     /// # Panics
     ///
     /// Panics if the cluster id is out of range.
-    pub fn cluster_timing(&self, cluster: ClusterId) -> &ClusterTiming {
-        &self.sample.cluster_timing[cluster.0]
+    pub fn cluster_f_for_perr_ghz(&self, cluster: ClusterId, perr: f64) -> f64 {
+        self.sample
+            .timing
+            .cluster_frequency_for_perr(cluster.0, perr)
     }
 
     /// Power of one cluster with all cores active at `f_ghz` and the

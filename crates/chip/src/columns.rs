@@ -33,14 +33,13 @@ use crate::chip::Chip;
 use crate::selection::ClusterSelection;
 use crate::topology::ClusterId;
 use accordion_varius::columns::TimingColumns;
-use accordion_varius::timing::{ClusterTiming, CoreTiming};
 
 /// Per-chip invariants of the energy-efficiency selection policy,
 /// computed once and reused across every (size, cluster-count) cell of
 /// a sweep.
 #[derive(Debug, Clone)]
 pub struct ChipColumns {
-    /// Flattened per-core timing at the chip's `VddNTV`.
+    /// Per-core timing at the chip's `VddNTV`.
     timing: TimingColumns,
     /// Clusters in efficiency-descending order: every selection of `n`
     /// is `order[..n]`.
@@ -74,7 +73,7 @@ impl ChipColumns {
             prefix_safe_f_ghz.push(f_min);
         }
         Self {
-            timing: TimingColumns::from_clusters(&chip.sample().cluster_timing),
+            timing: chip.sample().timing.clone(),
             order,
             prefix_safe_f_ghz,
         }
@@ -90,7 +89,7 @@ impl ChipColumns {
         &self.order
     }
 
-    /// The flattened timing columns at the chip's `VddNTV`.
+    /// The per-core timing columns at the chip's `VddNTV`.
     pub fn timing(&self) -> &TimingColumns {
         &self.timing
     }
@@ -126,63 +125,35 @@ impl ChipColumns {
     }
 }
 
-/// One chip's timing context at one supply: the per-cluster timing
-/// objects, their columnar flattening, and the chip-wide safe
-/// frequency — everything a sweep can reuse across grid cells that
-/// share a `Vdd`.
+/// One chip's timing context at one supply: the per-core timing
+/// columns and the chip-wide safe frequency — everything a sweep can
+/// reuse across grid cells that share a `Vdd`.
 #[derive(Debug, Clone)]
 pub struct OperatingTimings {
     vdd_v: f64,
-    timings: Vec<ClusterTiming>,
     columns: TimingColumns,
     f_safe_ghz: f64,
 }
 
 impl OperatingTimings {
-    /// Derives the chip's timing at `vdd_v`: the chip's own models
+    /// Derives the chip's timing at `vdd_v`: the chip's own columns
     /// when `vdd_v` is its designated `VddNTV`, otherwise re-derived
-    /// from the variation sample (the same construction the
-    /// population layer uses at fabrication).
+    /// from the variation sample at `vdd_v`.
     pub fn at(chip: &Chip, vdd_v: f64) -> Self {
-        let timings: Vec<ClusterTiming> = if vdd_v == chip.vdd_ntv_v() {
-            (0..chip.topology().num_clusters())
-                .map(|c| chip.cluster_timing(ClusterId(c)).clone())
-                .collect()
-        } else {
-            let fm = chip.freq_model();
-            let params = chip.variation_params();
-            let variation = &chip.sample().variation;
-            (0..chip.topology().num_clusters())
-                .map(|c| {
-                    let cores = chip
-                        .topology()
-                        .cores_of(ClusterId(c))
-                        .map(|core| {
-                            CoreTiming::new(
-                                fm,
-                                params,
-                                vdd_v,
-                                variation.core_vth_delta_v[core.0],
-                                variation.core_leff_mult[core.0],
-                            )
-                        })
-                        .collect();
-                    ClusterTiming::new(cores)
-                })
-                .collect()
-        };
-        // The legacy per-cluster fold, kept verbatim: it is where the
-        // per-cluster `SafeFreq` flight events are emitted, now once
-        // per operating supply instead of once per grid cell.
         let params = chip.variation_params();
-        let f_safe_ghz = timings
-            .iter()
-            .map(|t| t.safe_frequency_ghz(params))
+        let ntv = &chip.sample().timing;
+        let columns = if vdd_v == chip.vdd_ntv_v() {
+            ntv.clone()
+        } else {
+            ntv.at_supply(chip.freq_model(), params, vdd_v, &chip.sample().variation)
+        };
+        // One `SafeFreq` flight event per cluster, once per operating
+        // supply instead of once per grid cell.
+        let f_safe_ghz = (0..columns.num_clusters())
+            .map(|c| columns.cluster_safe_f_ghz(c, params))
             .fold(f64::INFINITY, f64::min);
-        let columns = TimingColumns::from_clusters(&timings);
         Self {
             vdd_v,
-            timings,
             columns,
             f_safe_ghz,
         }
@@ -193,12 +164,7 @@ impl OperatingTimings {
         self.vdd_v
     }
 
-    /// The per-cluster timing objects.
-    pub fn timings(&self) -> &[ClusterTiming] {
-        &self.timings
-    }
-
-    /// The columnar flattening of [`Self::timings`].
+    /// Every core's timing at [`Self::vdd_v`].
     pub fn columns(&self) -> &TimingColumns {
         &self.columns
     }
@@ -208,9 +174,7 @@ impl OperatingTimings {
         self.f_safe_ghz
     }
 
-    /// Chip-wide binding frequency at per-cycle error rate `perr` —
-    /// bit-identical to folding
-    /// [`ClusterTiming::frequency_for_perr`] over the clusters.
+    /// Chip-wide binding frequency at per-cycle error rate `perr`.
     pub fn min_frequency_for_perr(&self, perr: f64) -> f64 {
         self.columns.min_frequency_for_perr(perr)
     }
@@ -220,6 +184,7 @@ impl OperatingTimings {
 mod tests {
     use super::*;
     use crate::selection::SelectionPolicy;
+    use accordion_varius::timing::CoreTiming;
 
     fn chip() -> Chip {
         Chip::fabricate_small(4).unwrap()
@@ -259,31 +224,42 @@ mod tests {
 
     #[test]
     fn operating_timings_match_legacy_derivation() {
+        // The oracle folds fresh single-core models of every cluster's
+        // members at the queried supply.
         let chip = chip();
         let params = chip.variation_params();
+        let v = &chip.sample().variation;
+        let oracle = |vdd_v: f64, perr: f64| {
+            (0..chip.topology().num_clusters())
+                .flat_map(|c| chip.topology().cores_of(ClusterId(c)))
+                .map(|core| {
+                    CoreTiming::new(
+                        chip.freq_model(),
+                        params,
+                        vdd_v,
+                        v.core_vth_delta_v[core.0],
+                        v.core_leff_mult[core.0],
+                    )
+                    .frequency_for_perr(perr)
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
         for vdd_v in [chip.vdd_ntv_v(), 0.7] {
             let ctx = OperatingTimings::at(&chip, vdd_v);
-            let legacy_f_safe = ctx
-                .timings()
-                .iter()
-                .map(|t| t.frequency_for_perr(params.perr_safe_target))
-                .fold(f64::INFINITY, f64::min);
-            assert_eq!(ctx.f_safe_ghz().to_bits(), legacy_f_safe.to_bits());
+            assert_eq!(
+                ctx.f_safe_ghz().to_bits(),
+                oracle(vdd_v, params.perr_safe_target).to_bits()
+            );
             for perr in [1e-12, 1e-7] {
-                let legacy = ctx
-                    .timings()
-                    .iter()
-                    .map(|t| t.frequency_for_perr(perr))
-                    .fold(f64::INFINITY, f64::min);
                 assert_eq!(
                     ctx.min_frequency_for_perr(perr).to_bits(),
-                    legacy.to_bits(),
+                    oracle(vdd_v, perr).to_bits(),
                     "vdd={vdd_v} perr={perr}"
                 );
             }
         }
-        // At VddNTV the context reuses the chip's own timing objects.
+        // At VddNTV the context reuses the chip's own columns.
         let ntv = OperatingTimings::at(&chip, chip.vdd_ntv_v());
-        assert_eq!(ntv.timings()[0], chip.sample().cluster_timing[0]);
+        assert_eq!(ntv.columns(), &chip.sample().timing);
     }
 }

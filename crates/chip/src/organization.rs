@@ -108,14 +108,13 @@ pub fn cluster_yield(
             // The CC must be reliable: it is the *fastest* core, which
             // by construction is not the one binding the cluster
             // frequency (unless the cluster has a single core).
-            let timing = chip.cluster_timing(cluster);
             let dc_f_ghz = if cores - ccs == 0 {
                 0.0
             } else {
                 // DC frequency still bound by the slowest remaining
                 // core — the slowest overall, since CCs take the fast
                 // ones.
-                timing.safe_frequency_ghz(params)
+                chip.sample().timing.cluster_safe_f_ghz(cluster.0, params)
             };
             ClusterYield {
                 dc_core_equivalents: (cores - ccs) as f64,

@@ -11,17 +11,19 @@
 //!   variation field (core sites and memory-block sites),
 //! * [`vmap`] — per-chip realizations of the correlated `Vth`/`Leff`
 //!   fields,
-//! * [`timing`] — per-core critical-path delay distributions, the
-//!   per-cycle timing-error rate `Perr(f)` (Figure 5b) and safe /
-//!   speculative frequency solvers,
-//! * [`columns`] — the same timing model flattened to contiguous
-//!   struct-of-arrays columns for batched whole-chip sweeps,
+//! * [`timing`] — the single-core model: a critical-path delay
+//!   distribution, the per-cycle timing-error rate `Perr(f)`
+//!   (Figure 5b) and safe / speculative frequency solvers,
+//! * [`columns`] — a chip's timing: every core's delay moments at one
+//!   supply in struct-of-arrays columns, derived straight from the
+//!   chip's variation sample, with each cluster bound by its slowest
+//!   member,
 //! * [`sram`] — per-memory-block minimum supply voltage `VddMIN`
 //!   (Figure 5a) and the chip-wide `VddNTV` designation,
 //! * [`mem_timing`] — memory access-time derating at the block's local
 //!   variation corner,
-//! * [`population`] — seeded Monte-Carlo chip populations (the paper's
-//!   100-chip sample).
+//! * [`population`] — seeded Monte-Carlo chips: any index range of a
+//!   population (the paper's 100-chip sample).
 //!
 //! # Example
 //!
@@ -51,7 +53,6 @@ pub mod vmap;
 pub use columns::TimingColumns;
 pub use layout::SitePlan;
 pub use params::VariationParams;
-pub use population::ChipPopulation;
 pub use sram::SramModel;
 pub use timing::CoreTiming;
 pub use vmap::{ChipVariation, VariationSampler};

@@ -1,24 +1,25 @@
 //! Monte-Carlo chip populations.
 //!
 //! The paper evaluates variation effects over a sample of 100
-//! fabricated chips (Table 2, "Sample size"). A [`ChipPopulation`]
-//! draws that many variation instances over one layout and derives,
-//! per chip:
+//! fabricated chips (Table 2, "Sample size"). [`generate`] draws any
+//! index range of that population over one layout and derives, per
+//! chip:
 //!
 //! * per-cluster `VddMIN` and the chip-wide `VddNTV` designation
 //!   (Figure 5a),
-//! * per-cluster timing models and safe frequencies at `VddNTV`
-//!   (Figure 5b).
+//! * every core's timing at `VddNTV`, from which the per-cluster safe
+//!   frequencies follow (Figure 5b).
 
+use crate::columns::TimingColumns;
 use crate::layout::SitePlan;
 use crate::params::VariationParams;
 use crate::sram::SramModel;
-use crate::timing::{ClusterTiming, CoreTiming};
 use crate::vmap::ChipVariation;
 use accordion_stats::field::FieldError;
 use accordion_stats::rng::SeedStream;
 use accordion_telemetry::{counter, flight_track, span, trace_event, Level};
 use accordion_vlsi::freq::FreqModel;
+use std::ops::Range;
 
 /// One fabricated chip with its derived variation-dependent data.
 #[derive(Debug, Clone)]
@@ -30,137 +31,93 @@ pub struct ChipSample {
     /// The chip's designated near-threshold supply: the maximum
     /// per-cluster `VddMIN`.
     pub vdd_ntv_v: f64,
-    /// Timing of each cluster at `vdd_ntv_v`.
-    pub cluster_timing: Vec<ClusterTiming>,
+    /// Every core's timing at `vdd_ntv_v`.
+    pub timing: TimingColumns,
 }
 
 impl ChipSample {
     /// Safe frequency of every cluster at the chip's `VddNTV`.
     pub fn cluster_safe_f_ghz(&self, params: &VariationParams) -> Vec<f64> {
-        self.cluster_timing
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
+        (0..self.timing.num_clusters())
+            .map(|i| {
                 // One flight-recorder track per simulated cluster,
                 // nested under the fabricating chip's track.
                 let _track = flight_track!("cluster{i}");
-                t.safe_frequency_ghz(params)
+                self.timing.cluster_safe_f_ghz(i, params)
             })
             .collect()
     }
 }
 
-/// A seeded population of chip samples over one layout.
-#[derive(Debug, Clone)]
-pub struct ChipPopulation {
-    samples: Vec<ChipSample>,
+/// Generates chips `chips` of the population seeded by `seed` for
+/// `plan` under `params`, deriving timing with the calibrated
+/// frequency model `fm`. Chip `i` draws only from the `("chip", i)`
+/// substream, so it is the same chip whichever range it is generated
+/// in.
+///
+/// # Errors
+///
+/// Propagates [`FieldError`] if the layout's correlation matrix
+/// cannot be factored.
+pub fn generate(
+    plan: &SitePlan,
+    params: &VariationParams,
+    fm: &FreqModel,
+    chips: Range<usize>,
+    seed: SeedStream,
+) -> Result<Vec<ChipSample>, FieldError> {
+    let _span = span!("varius.population.generate");
+    trace_event!(
+        Level::Info,
+        "varius.population.start",
+        chips = chips.len(),
+        seed = seed.seed(),
+        sites = plan.mem_sites.len() + plan.core_sites_mm.len(),
+    );
+    // The sampler comes from the process-wide cache: sweep
+    // artifacts that revisit the same (plan, φ, technology)
+    // structure reuse one envelope factorization.
+    let sampler = ChipVariation::cached_sampler_for_tech(plan, params, fm.technology())?;
+    // One pool task per chip, so the parallel result is bit-identical
+    // to the sequential loop at any `--jobs` count.
+    let first = chips.start;
+    let samples = accordion_pool::par_map_indexed(chips.len(), |k| {
+        let variation = sampler.sample(&mut seed.stream("chip", (first + k) as u64));
+        derive(plan, params, fm, variation)
+    });
+    counter!("varius.chips_generated").add(samples.len() as u64);
+    Ok(samples)
 }
 
-impl ChipPopulation {
-    /// Generates `n` chips for `plan` under `params`, deriving timing
-    /// with the calibrated frequency model `fm`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FieldError`] if the layout's correlation matrix
-    /// cannot be factored.
-    pub fn generate(
-        plan: &SitePlan,
-        params: &VariationParams,
-        fm: &FreqModel,
-        n: usize,
-        seed: SeedStream,
-    ) -> Result<Self, FieldError> {
-        let _span = span!("varius.population.generate");
-        trace_event!(
-            Level::Info,
-            "varius.population.start",
-            chips = n,
-            seed = seed.seed(),
-            sites = plan.mem_sites.len() + plan.core_sites_mm.len(),
-        );
-        // The sampler comes from the process-wide cache: sweep
-        // artifacts that revisit the same (plan, φ, technology)
-        // structure reuse one envelope factorization.
-        let sampler = ChipVariation::cached_sampler_for_tech(plan, params, fm.technology())?;
-        // One pool task per chip. Chip `i` draws only from the
-        // `("chip", i)` substream, so the parallel result is
-        // bit-identical to the sequential loop at any `--jobs` count.
-        let samples = accordion_pool::par_map_indexed(n, |i| {
-            let variation = sampler.sample(&mut seed.stream("chip", i as u64));
-            Self::derive(plan, params, fm, variation)
-        });
-        counter!("varius.chips_generated").add(n as u64);
-        Ok(Self { samples })
+fn derive(
+    plan: &SitePlan,
+    params: &VariationParams,
+    fm: &FreqModel,
+    variation: ChipVariation,
+) -> ChipSample {
+    let sram = SramModel::new(params);
+
+    // Per-cluster VddMIN from the memory sites.
+    let mut cluster_blocks: Vec<Vec<(crate::layout::MemKind, f64)>> =
+        vec![Vec::new(); plan.num_clusters()];
+    for (site, &dv) in plan.mem_sites.iter().zip(&variation.mem_vth_delta_v) {
+        cluster_blocks[site.cluster].push((site.kind, dv));
     }
+    let cluster_vddmin_v: Vec<f64> = cluster_blocks
+        .iter()
+        .map(|blocks| sram.cluster_vddmin_v(blocks))
+        .collect();
+    let vdd_ntv_v = cluster_vddmin_v
+        .iter()
+        .copied()
+        .fold(f64::NEG_INFINITY, f64::max);
 
-    fn derive(
-        plan: &SitePlan,
-        params: &VariationParams,
-        fm: &FreqModel,
-        variation: ChipVariation,
-    ) -> ChipSample {
-        let sram = SramModel::new(params);
-        let nclusters = plan.num_clusters();
-
-        // Per-cluster VddMIN from the memory sites.
-        let mut cluster_blocks: Vec<Vec<(crate::layout::MemKind, f64)>> =
-            vec![Vec::new(); nclusters];
-        for (site, &dv) in plan.mem_sites.iter().zip(&variation.mem_vth_delta_v) {
-            cluster_blocks[site.cluster].push((site.kind, dv));
-        }
-        let cluster_vddmin_v: Vec<f64> = cluster_blocks
-            .iter()
-            .map(|blocks| sram.cluster_vddmin_v(blocks))
-            .collect();
-        let vdd_ntv_v = cluster_vddmin_v
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
-
-        // Per-cluster timing at the designated VddNTV.
-        let mut cluster_cores: Vec<Vec<CoreTiming>> = vec![Vec::new(); nclusters];
-        for (core, &cluster) in plan.core_clusters.iter().enumerate() {
-            cluster_cores[cluster].push(CoreTiming::new(
-                fm,
-                params,
-                vdd_ntv_v,
-                variation.core_vth_delta_v[core],
-                variation.core_leff_mult[core],
-            ));
-        }
-        let cluster_timing = cluster_cores.into_iter().map(ClusterTiming::new).collect();
-
-        ChipSample {
-            variation,
-            cluster_vddmin_v,
-            vdd_ntv_v,
-            cluster_timing,
-        }
-    }
-
-    /// The chip samples.
-    pub fn samples(&self) -> &[ChipSample] {
-        &self.samples
-    }
-
-    /// Number of chips.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the population is empty.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// All per-cluster `VddMIN` values across the population (the
-    /// Figure 5a data when restricted to one representative chip).
-    pub fn all_cluster_vddmin_v(&self) -> Vec<f64> {
-        self.samples
-            .iter()
-            .flat_map(|s| s.cluster_vddmin_v.iter().copied())
-            .collect()
+    let timing = TimingColumns::derive(fm, params, vdd_ntv_v, &variation, &plan.core_clusters);
+    ChipSample {
+        variation,
+        cluster_vddmin_v,
+        vdd_ntv_v,
+        timing,
     }
 }
 
@@ -210,33 +167,47 @@ mod tests {
         }
     }
 
-    fn population(n: usize) -> ChipPopulation {
+    fn chips(range: Range<usize>) -> Vec<ChipSample> {
         let fm = FreqModel::calibrate(&Technology::node_11nm());
-        ChipPopulation::generate(
+        generate(
             &small_plan(),
             &VariationParams::default(),
             &fm,
-            n,
+            range,
             SeedStream::new(2014),
         )
         .unwrap()
+    }
+
+    fn population(n: usize) -> Vec<ChipSample> {
+        chips(0..n)
     }
 
     #[test]
     fn population_size_and_shape() {
         let pop = population(5);
         assert_eq!(pop.len(), 5);
-        for s in pop.samples() {
+        for s in &pop {
             assert_eq!(s.cluster_vddmin_v.len(), 4);
-            assert_eq!(s.cluster_timing.len(), 4);
-            assert_eq!(s.cluster_timing[0].cores().len(), 4);
+            assert_eq!(s.timing.num_clusters(), 4);
+            assert_eq!(s.timing.cluster_cores(0).len(), 4);
+        }
+    }
+
+    #[test]
+    fn an_offset_range_generates_the_same_chips() {
+        let all = population(4);
+        let tail = chips(2..4);
+        for (a, b) in all[2..].iter().zip(&tail) {
+            assert_eq!(a.variation, b.variation);
+            assert_eq!(a.timing, b.timing);
         }
     }
 
     #[test]
     fn vdd_ntv_is_max_cluster_vddmin() {
         let pop = population(3);
-        for s in pop.samples() {
+        for s in &pop {
             let max = s
                 .cluster_vddmin_v
                 .iter()
@@ -250,7 +221,10 @@ mod tests {
     fn vddmin_spread_matches_figure5a_band() {
         // Figure 5a: per-cluster VddMIN spans ≈0.46–0.58 V.
         let pop = population(30);
-        let all = pop.all_cluster_vddmin_v();
+        let all: Vec<f64> = pop
+            .iter()
+            .flat_map(|s| s.cluster_vddmin_v.iter().copied())
+            .collect();
         let lo = all.iter().copied().fold(f64::INFINITY, f64::min);
         let hi = all.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         assert!(lo > 0.42 && lo < 0.52, "lo={lo}");
@@ -264,7 +238,7 @@ mod tests {
         let params = VariationParams::default();
         let pop = population(20);
         let mut all = Vec::new();
-        for s in pop.samples() {
+        for s in &pop {
             all.extend(s.cluster_safe_f_ghz(&params));
         }
         let lo = all.iter().copied().fold(f64::INFINITY, f64::min);
@@ -278,9 +252,6 @@ mod tests {
     fn deterministic_under_same_seed() {
         let a = population(2);
         let b = population(2);
-        assert_eq!(
-            a.samples()[1].cluster_vddmin_v,
-            b.samples()[1].cluster_vddmin_v
-        );
+        assert_eq!(a[1].cluster_vddmin_v, b[1].cluster_vddmin_v);
     }
 }

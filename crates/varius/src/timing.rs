@@ -13,8 +13,6 @@
 
 use crate::params::VariationParams;
 use accordion_stats::normal::StdNormal;
-use accordion_telemetry::event::SimEvent;
-use accordion_telemetry::flight;
 use accordion_vlsi::freq::FreqModel;
 
 /// Timing model of one core at a fixed supply voltage.
@@ -44,21 +42,50 @@ impl CoreTiming {
         vth_delta_v: f64,
         leff_mult: f64,
     ) -> Self {
+        let (s_vth, s_leff) = Self::path_sigmas(fm, params);
+        let (mu_ns, sigma_ns) =
+            Self::delay_moments(fm, vdd_v, vth_delta_v, leff_mult, s_vth, s_leff);
+        Self::from_moments(mu_ns, sigma_ns, params.critical_paths_per_core)
+    }
+
+    /// A core whose delay moments are already known.
+    pub(crate) fn from_moments(mu_ns: f64, sigma_ns: f64, ncp: usize) -> Self {
+        Self {
+            mu_ns,
+            sigma_ns,
+            ncp,
+        }
+    }
+
+    /// The random per-path `(Vth, Leff)` sigmas. They depend only on
+    /// the technology and the variation parameters, so a chip computes
+    /// them once for all of its cores.
+    pub(crate) fn path_sigmas(fm: &FreqModel, params: &VariationParams) -> (f64, f64) {
         let tech = fm.technology();
-        let mu_ns = fm.path_delay_ns(vdd_v, vth_delta_v, leff_mult);
         let s_vth = params.random_sigma_per_path(tech.vth_sigma_v(), tech.critical_path_stages);
         let s_leff =
             params.random_sigma_per_path(tech.leff_sigma_over_mu, tech.critical_path_stages);
+        (s_vth, s_leff)
+    }
+
+    /// Mean and sigma of a core's critical-path delay in ns, given its
+    /// systematic corner and the per-path sigmas of
+    /// [`Self::path_sigmas`].
+    pub(crate) fn delay_moments(
+        fm: &FreqModel,
+        vdd_v: f64,
+        vth_delta_v: f64,
+        leff_mult: f64,
+        s_vth: f64,
+        s_leff: f64,
+    ) -> (f64, f64) {
+        let mu_ns = fm.path_delay_ns(vdd_v, vth_delta_v, leff_mult);
         // One-sided differences toward the slow corner: delay is convex
         // in Vth near threshold, and the slow tail is what matters.
         let d_vth = fm.path_delay_ns(vdd_v, vth_delta_v + s_vth, leff_mult) - mu_ns;
         let d_leff = fm.path_delay_ns(vdd_v, vth_delta_v, leff_mult * (1.0 + s_leff)) - mu_ns;
         let sigma_ns = (d_vth * d_vth + d_leff * d_leff).sqrt().max(1e-9 * mu_ns);
-        Self {
-            mu_ns,
-            sigma_ns,
-            ncp: params.critical_paths_per_core,
-        }
+        (mu_ns, sigma_ns)
     }
 
     /// Mean critical-path delay in ns.
@@ -136,86 +163,6 @@ impl CoreTiming {
     /// Convenience: the safe frequency under `params`.
     pub fn safe_frequency_ghz(&self, params: &VariationParams) -> f64 {
         self.frequency_for_perr(params.perr_safe_target)
-    }
-}
-
-/// Timing of a cluster: the slowest member core bounds the cluster's
-/// frequency domain (paper Section 6.1).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterTiming {
-    cores: Vec<CoreTiming>,
-}
-
-impl ClusterTiming {
-    /// Builds cluster timing from its member cores' timing models.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is empty.
-    pub fn new(cores: Vec<CoreTiming>) -> Self {
-        assert!(!cores.is_empty(), "cluster needs at least one core");
-        Self { cores }
-    }
-
-    /// The member whose safe frequency is lowest (most error-prone).
-    /// Each member's safe frequency is computed exactly once (and the
-    /// `inv_cdf` tail inversion once per cluster), not per comparison.
-    pub fn slowest_core(&self, params: &VariationParams) -> &CoreTiming {
-        let mut slowest = 0;
-        let mut f_min = f64::INFINITY;
-        self.for_each_frequency(params.perr_safe_target, |i, f| {
-            if f < f_min {
-                f_min = f;
-                slowest = i;
-            }
-        });
-        &self.cores[slowest]
-    }
-
-    /// Cluster safe frequency: the minimum over member cores.
-    pub fn safe_frequency_ghz(&self, params: &VariationParams) -> f64 {
-        let f_ghz = self.frequency_for_perr(params.perr_safe_target);
-        // Flight-recorded per selection: under a per-cluster track
-        // (entered by the population layer) this lands one event on
-        // each simulated cluster's timeline.
-        flight!(SimEvent::SafeFreq { f_ghz });
-        f_ghz
-    }
-
-    /// Frequency at which the *cluster* (i.e. its slowest core) sees
-    /// the given per-cycle error rate.
-    pub fn frequency_for_perr(&self, perr_target: f64) -> f64 {
-        let mut f_min = f64::INFINITY;
-        self.for_each_frequency(perr_target, |_, f| f_min = f_min.min(f));
-        f_min
-    }
-
-    /// Visits `(index, frequency_for_perr(core))` for every member,
-    /// hoisting the shared `z = Φ̄⁻¹(…)` inversion out of the loop when
-    /// all members assume the same critical-path count (the common
-    /// case — `ncp` comes from one `VariationParams`).
-    fn for_each_frequency(&self, perr_target: f64, mut visit: impl FnMut(usize, f64)) {
-        let ncp = self.cores[0].ncp;
-        if self.cores.iter().all(|c| c.ncp == ncp) {
-            let z = CoreTiming::z_for_perr(ncp, perr_target);
-            for (i, c) in self.cores.iter().enumerate() {
-                visit(i, c.frequency_at_z(z));
-            }
-        } else {
-            for (i, c) in self.cores.iter().enumerate() {
-                visit(i, c.frequency_for_perr(perr_target));
-            }
-        }
-    }
-
-    /// Per-cycle error rate of the slowest member at `f_ghz`.
-    pub fn perr(&self, f_ghz: f64) -> f64 {
-        self.cores.iter().map(|c| c.perr(f_ghz)).fold(0.0, f64::max)
-    }
-
-    /// Member timing models.
-    pub fn cores(&self) -> &[CoreTiming] {
-        &self.cores
     }
 }
 
@@ -309,16 +256,6 @@ mod tests {
         let rel_ntv = ntv.sigma_delay_ns() / ntv.mean_delay_ns();
         let rel_stv = stv.sigma_delay_ns() / stv.mean_delay_ns();
         assert!(rel_ntv > 2.0 * rel_stv);
-    }
-
-    #[test]
-    fn cluster_is_bound_by_slowest() {
-        let (fm, p) = fixture();
-        let fast = CoreTiming::new(&fm, &p, 0.55, -0.03, 0.98);
-        let slow = CoreTiming::new(&fm, &p, 0.55, 0.04, 1.03);
-        let f_slow = slow.safe_frequency_ghz(&p);
-        let cluster = ClusterTiming::new(vec![fast, slow]);
-        assert!((cluster.safe_frequency_ghz(&p) - f_slow).abs() < 1e-12);
     }
 
     #[test]

@@ -43,8 +43,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .expect("clusters exist");
     println!("\nPerr(f) of slowest cluster {slowest}:");
-    let timing = chip.cluster_timing(ClusterId(slowest));
-    let core = timing.slowest_core(&params);
+    let timing = &chip.sample().timing;
+    let core = timing
+        .cluster_cores(slowest)
+        .nth(timing.cluster_slowest_core(slowest, params.perr_safe_target))
+        .expect("the slowest member is a member");
     for k in 1..=14 {
         let f = 0.1 * k as f64;
         println!("  f={:.1} GHz  Perr={:.3e}", f, core.perr(f));

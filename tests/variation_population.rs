@@ -79,17 +79,40 @@ fn safe_frequency_slowdown_band_matches_figure5b() {
 
 #[test]
 fn chip_indexing_is_stable_across_batch_sizes() {
-    let single = Chip::fabricate(
-        Topology::paper_default(),
-        &VariationParams::default(),
-        SeedStream::new(2014),
-        3,
-    )
-    .expect("chip 3");
-    assert_eq!(
-        single.cluster_vddmin_v(),
-        population()[3].cluster_vddmin_v()
-    );
+    // Every chip of the population, fabricated alone and inside an
+    // offset batch, is the same chip: the same VddMIN map and VddNTV,
+    // every core's timing (μ and σ), and the same safe-frequency bits.
+    let fabricate = |first: u64, count: usize| {
+        Chip::fabricate_population(
+            Topology::paper_default(),
+            &VariationParams::default(),
+            SeedStream::new(2014),
+            first,
+            count,
+        )
+        .expect("fabrication")
+    };
+    let offset = fabricate(5, 7);
+    assert_eq!(offset.len(), 7);
+    let safe_f_bits = |chip: &Chip| -> Vec<u64> {
+        (0..chip.topology().num_clusters())
+            .map(|c| chip.cluster_safe_f_ghz(ClusterId(c)).to_bits())
+            .collect()
+    };
+    for (i, reference) in population().iter().enumerate() {
+        let single = fabricate(i as u64, 1).pop().expect("one chip");
+        let batched = i.checked_sub(5).map(|k| &offset[k]);
+        for other in std::iter::once(&single).chain(batched) {
+            assert_eq!(
+                other.cluster_vddmin_v(),
+                reference.cluster_vddmin_v(),
+                "chip {i}"
+            );
+            assert_eq!(other.vdd_ntv_v().to_bits(), reference.vdd_ntv_v().to_bits());
+            assert_eq!(other.sample().timing, reference.sample().timing, "chip {i}");
+            assert_eq!(safe_f_bits(other), safe_f_bits(reference), "chip {i}");
+        }
+    }
 }
 
 #[test]
