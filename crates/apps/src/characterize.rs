@@ -6,10 +6,11 @@
 //! by its power-law exponent against the knob (|slope| ≈ 1 → linear);
 //! quality, which saturates rather than following a power law, is
 //! judged by how well a straight line in (knob, quality) explains the
-//! sweep.
+//! sweep. Both fits read the measured Default front; nothing here runs
+//! a kernel.
 
 use crate::app::RmsApp;
-use crate::config::RunConfig;
+use crate::harness::{FrontSet, Scenario};
 use accordion_stats::fit::{line_fit, power_fit};
 
 /// Dependence type of a quantity on the Accordion input.
@@ -69,21 +70,24 @@ fn classify_quality(r2: f64) -> Dependence {
     }
 }
 
-/// Characterizes one benchmark over its knob sweep.
+/// Characterizes one benchmark over its knob sweep: a fit over the
+/// Default front of [`FrontSet::measured`], whose raw qualities are
+/// the sweep's qualities against the hyper-accurate reference.
 pub fn characterize(app: &dyn RmsApp) -> CharacterizationRow {
-    let threads = app.profile_threads();
-    let reference = app.run(app.hyper_knob(), &RunConfig::default_run(threads));
-    let cfg = RunConfig::default_run(threads);
+    let set = FrontSet::measured(app);
+    let front = set
+        .front(Scenario::Default)
+        .expect("measured fronts include Default");
+    let knobs: Vec<f64> = front.points.iter().map(|p| p.knob).collect();
+    let quality: Vec<f64> = front.points.iter().map(|p| p.quality).collect();
+    fit(app, &knobs, &quality)
+}
 
-    let knobs = app.knob_sweep();
+/// Fits and classifies size and quality over a knob sweep.
+fn fit(app: &dyn RmsApp, knobs: &[f64], quality: &[f64]) -> CharacterizationRow {
     let sizes: Vec<f64> = knobs.iter().map(|&k| app.problem_size(k)).collect();
-    let quality: Vec<f64> = knobs
-        .iter()
-        .map(|&k| app.quality(&app.run(k, &cfg), &reference))
-        .collect();
-
-    let size_exponent = power_fit(&knobs, &sizes).slope;
-    let quality_r2 = line_fit(&knobs, &quality).r_squared;
+    let size_exponent = power_fit(knobs, &sizes).slope;
+    let quality_r2 = line_fit(knobs, quality).r_squared;
     CharacterizationRow {
         app: app.name().to_string(),
         knob: app.knob_name().to_string(),
@@ -107,8 +111,40 @@ pub fn characterize_all() -> Vec<CharacterizationRow> {
 mod tests {
     use super::*;
     use crate::canneal::Canneal;
+    use crate::config::RunConfig;
     use crate::hotspot::Hotspot;
     use crate::x264::X264;
+
+    /// The kernel-running characterization the front-reading one
+    /// replaced: its own hyper reference and Default knob sweep.
+    fn characterize_by_rerunning(app: &dyn RmsApp) -> CharacterizationRow {
+        let threads = app.profile_threads();
+        let reference = app.run(app.hyper_knob(), &RunConfig::default_run(threads));
+        let cfg = RunConfig::default_run(threads);
+
+        let knobs = app.knob_sweep();
+        let quality: Vec<f64> = knobs
+            .iter()
+            .map(|&k| app.quality(&app.run(k, &cfg), &reference))
+            .collect();
+        fit(app, &knobs, &quality)
+    }
+
+    #[test]
+    fn front_fit_matches_rerunning_the_sweep_bit_for_bit() {
+        let apps: [&dyn RmsApp; 3] = [
+            &Canneal::paper_default(),
+            &Hotspot::paper_default(),
+            &X264::paper_default(),
+        ];
+        for app in apps {
+            let (row, oracle) = (characterize(app), characterize_by_rerunning(app));
+            assert_eq!(row, oracle, "{}", app.name());
+            // `==` equates 0.0 and -0.0; the fits must agree in bits.
+            assert_eq!(row.size_exponent.to_bits(), oracle.size_exponent.to_bits());
+            assert_eq!(row.quality_r2.to_bits(), oracle.quality_r2.to_bits());
+        }
+    }
 
     #[test]
     fn canneal_size_is_linear_in_swaps() {

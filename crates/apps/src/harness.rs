@@ -5,6 +5,10 @@
 //! computing quality against a hyper-accurate reference execution and
 //! normalizing both axes to the default Accordion input, exactly as
 //! the paper's figures do.
+//!
+//! A [`FrontSet`] is the one measurement of an app: the fronts of
+//! Figures 2 and 4, the Table 3 characterization and the end-to-end
+//! validation all read it instead of re-running the sweep.
 
 use crate::app::RmsApp;
 use crate::config::RunConfig;
@@ -50,6 +54,8 @@ pub struct FrontPoint {
     pub knob: f64,
     /// Problem size normalized to the default input's.
     pub size_norm: f64,
+    /// Quality against the hyper-accurate reference, un-normalized.
+    pub quality: f64,
     /// Quality normalized to the default input's error-free quality.
     pub quality_norm: f64,
 }
@@ -86,8 +92,21 @@ impl QualityFront {
 pub struct FrontSet {
     /// Benchmark name.
     pub app: String,
+    /// Quality of the default input under Default execution (floored
+    /// at 1e-9): the divisor of every `quality_norm`.
+    pub default_quality: f64,
     /// One front per scenario, in [`Scenario::PAPER`] order.
     pub fronts: Vec<QualityFront>,
+}
+
+/// The hyper-accurate reference execution every quality of `app` is
+/// measured against (Section 6.2): the hyper knob under Default
+/// execution at the app's profiling thread count.
+pub fn reference_output(app: &dyn RmsApp) -> Vec<f64> {
+    app.run(
+        app.hyper_knob(),
+        &RunConfig::default_run(app.profile_threads()),
+    )
 }
 
 impl FrontSet {
@@ -118,7 +137,7 @@ impl FrontSet {
     /// Measures an explicit scenario list.
     pub fn measure_scenarios(app: &dyn RmsApp, scenarios: &[Scenario]) -> Self {
         let threads = app.profile_threads();
-        let reference = app.run(app.hyper_knob(), &RunConfig::default_run(threads));
+        let reference = reference_output(app);
         let default_out = app.run(app.default_knob(), &RunConfig::default_run(threads));
         let q_default = app.quality(&default_out, &reference).max(1e-9);
         let size_default = app.problem_size(app.default_knob());
@@ -131,11 +150,12 @@ impl FrontSet {
                     .knob_sweep()
                     .iter()
                     .map(|&knob| {
-                        let out = app.run(knob, &cfg);
+                        let quality = app.quality(&app.run(knob, &cfg), &reference);
                         FrontPoint {
                             knob,
                             size_norm: app.problem_size(knob) / size_default,
-                            quality_norm: app.quality(&out, &reference) / q_default,
+                            quality,
+                            quality_norm: quality / q_default,
                         }
                     })
                     .collect();
@@ -149,6 +169,7 @@ impl FrontSet {
 
         Self {
             app: app.name().to_string(),
+            default_quality: q_default,
             fronts,
         }
     }

@@ -28,7 +28,8 @@
 //! The [`harness`] module sweeps knobs under the Default / Drop 1/4 /
 //! Drop 1/2 scenarios to produce the quality-versus-problem-size
 //! fronts of Figures 2 and 4; [`characterize`] recovers the Table 3
-//! dependency types from those sweeps.
+//! dependency types by fitting the measured Default front, without
+//! running a kernel of its own.
 
 pub mod app;
 pub mod bodytrack;

@@ -3,8 +3,8 @@
 //! sampling, and end-to-end fabrication throughput at the paper's
 //! 612-site default plan (φ = 0.1 → 2 mm range on a 20 mm die).
 //!
-//! `scripts/bench.sh` parses these into `BENCH_PR3.json` and computes
-//! the dense/envelope speedup ratios the PR's acceptance criteria pin.
+//! `scripts/bench.sh` parses these into `BENCH_PR10.json` and computes
+//! the dense/envelope construction and sampling speedup ratios.
 
 use accordion_chip::chip::Chip;
 use accordion_chip::floorplan::Floorplan;

@@ -52,7 +52,7 @@ use accordion_telemetry::json::{self, Json};
 use accordion_telemetry::sink::{self, JsonlSink, Level, StderrSink};
 use accordion_telemetry::{event, RunManifest};
 use std::io::Write;
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::ToSocketAddrs;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -410,10 +410,6 @@ fn main() {
                 (
                     "steals",
                     Json::Num(counters.counter("pool.steals").get() as f64),
-                ),
-                (
-                    "scopes",
-                    Json::Num(counters.counter("pool.scopes").get() as f64),
                 ),
             ]),
         );
@@ -940,7 +936,12 @@ fn validate_metrics(target: &str) {
             .ok()
             .and_then(|mut a| a.next())
             .unwrap_or_else(|| die(&format!("cannot resolve {spec}")));
-        (format!("http://{spec}/metrics"), fetch_metrics(addr))
+        let text = match dash::fetch(addr, "/metrics") {
+            Ok((200, body)) => body,
+            Ok((status, _)) => die(&format!("{addr}: /metrics answered {status}")),
+            Err(e) => die(&e),
+        };
+        (format!("http://{spec}/metrics"), text)
     } else {
         (
             target.to_string(),
@@ -960,32 +961,6 @@ fn validate_metrics(target: &str) {
             die(&format!("{} exposition-format violations", errors.len()));
         }
     }
-}
-
-/// One blocking `GET /metrics` against `addr`; dies on transport
-/// errors or a non-200 answer.
-fn fetch_metrics(addr: std::net::SocketAddr) -> String {
-    use std::io::Read as _;
-    let timeout = Duration::from_secs(10);
-    let mut conn = TcpStream::connect_timeout(&addr, timeout)
-        .unwrap_or_else(|e| die(&format!("cannot connect to {addr}: {e}")));
-    let _ = conn.set_read_timeout(Some(timeout));
-    let _ = conn.set_write_timeout(Some(timeout));
-    conn.write_all(b"GET /metrics HTTP/1.1\r\nHost: validate\r\nConnection: close\r\n\r\n")
-        .unwrap_or_else(|e| die(&format!("cannot send to {addr}: {e}")));
-    let mut reply = String::new();
-    conn.read_to_string(&mut reply)
-        .unwrap_or_else(|e| die(&format!("cannot read from {addr}: {e}")));
-    let (head, body) = reply
-        .split_once("\r\n\r\n")
-        .unwrap_or_else(|| die(&format!("{addr}: malformed HTTP response")));
-    if !head.starts_with("HTTP/1.1 200") {
-        die(&format!(
-            "{addr}: /metrics answered {}",
-            head.lines().next().unwrap_or("?")
-        ));
-    }
-    body.to_string()
 }
 
 /// `repro dash`: terminal dashboard over a serving instance's ops

@@ -66,9 +66,11 @@ pub fn selection_report() -> String {
 /// `(phi, vddmin_std, safe_f_std)`.
 pub fn phi_ablation() -> Vec<(f64, f64, f64)> {
     // Each φ fabricates its own 3-chip population (fresh correlation
-    // factorization); the design points are independent, so sweep them
-    // in parallel — population generation nests its own pool tasks.
-    accordion_pool::par_map(vec![0.05, 0.1, 0.2, 0.4], |phi| {
+    // factorization), whose chips fan out over the pool. The φ values
+    // run one after another: all four populations share seed 77 and so
+    // the `fab36/chip{i}` flight tracks, which must never be live on
+    // two threads at once.
+    let rows = [0.05, 0.1, 0.2, 0.4].map(|phi| {
         let params = VariationParams {
             phi,
             ..VariationParams::default()
@@ -92,7 +94,8 @@ pub fn phi_ablation() -> Vec<(f64, f64, f64)> {
         let sv = Summary::of(&vddmins).expect("non-empty");
         let sf = Summary::of(&fs).expect("non-empty");
         (phi, sv.std, sf.std)
-    })
+    });
+    rows.to_vec()
 }
 
 /// Renders the φ ablation.

@@ -14,9 +14,10 @@ use accordion_apps::config::RunConfig;
 use accordion_apps::hotspot::Hotspot;
 use accordion_sim::fault::{uniform_drop_mask, CorruptionMode};
 
-/// Quality of canneal under an error mode at an infected fraction,
-/// relative to the error-free run at the same knob.
-pub fn canneal_quality_under(mode: CannealErrorMode, fraction: f64) -> f64 {
+/// The canneal decision-inversion experiment rows:
+/// `(fraction, drop_quality, inversion_quality)`, each quality relative
+/// to one error-free run at the same knob.
+pub fn canneal_rows() -> Vec<(f64, f64, f64)> {
     let app = Canneal::paper_default();
     let threads = 64;
     let cfg = RunConfig::default_run(threads);
@@ -27,19 +28,16 @@ pub fn canneal_quality_under(mode: CannealErrorMode, fraction: f64) -> f64 {
         CannealErrorMode::DropSwaps,
         &vec![false; threads],
     );
-    let infected = uniform_drop_mask(threads, fraction);
-    let bad = app.run_with_error_mode(knob, &cfg, mode, &infected);
-    app.quality(&bad, &clean)
-}
-
-/// The canneal decision-inversion experiment rows:
-/// `(fraction, drop_quality, inversion_quality)`.
-pub fn canneal_rows() -> Vec<(f64, f64, f64)> {
+    let quality_under = |mode, fraction| {
+        let infected = uniform_drop_mask(threads, fraction);
+        let bad = app.run_with_error_mode(knob, &cfg, mode, &infected);
+        app.quality(&bad, &clean)
+    };
     accordion_pool::par_map(vec![0.25, 0.5], |fr| {
         (
             fr,
-            canneal_quality_under(CannealErrorMode::DropSwaps, fr),
-            canneal_quality_under(CannealErrorMode::InvertDecision, fr),
+            quality_under(CannealErrorMode::DropSwaps, fr),
+            quality_under(CannealErrorMode::InvertDecision, fr),
         )
     })
 }

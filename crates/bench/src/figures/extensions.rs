@@ -8,7 +8,6 @@ use crate::output::{f, TextTable};
 use accordion::baselines::compare_at;
 use accordion::mode::{FrequencyPolicy, Mode, ProblemScaling};
 use accordion::pareto::ParetoExtractor;
-use accordion::quality::QualityModel;
 use accordion::runtime::RuntimeController;
 use accordion::validation::validate_point;
 use accordion_apps::app::extension_apps;
@@ -393,7 +392,6 @@ pub fn validate_report() -> String {
     // render them in the fixed benchmark order.
     let rows = accordion_pool::par_map(accordion_apps::app::all_apps(), |app| {
         let set = FrontSet::measured(app.as_ref());
-        let quality = QualityModel::from_front_set(&set);
         let extractor = ParetoExtractor::new(chip, app.as_ref(), &set);
         let point = extractor.solve_point(
             Mode {
@@ -402,7 +400,7 @@ pub fn validate_report() -> String {
             },
             1.0,
         )?;
-        let v = validate_point(app.as_ref(), &quality, &point, 2014);
+        let v = validate_point(app.as_ref(), &set, &point, 2014);
         Some([
             app.name().to_string(),
             f(v.estimated_quality),

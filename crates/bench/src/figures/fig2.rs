@@ -64,11 +64,6 @@ pub fn fig4_report() -> String {
     )
 }
 
-/// Convenience for tests: measure one named benchmark's fronts.
-pub fn one_set(name: &str) -> FrontSet {
-    front_sets(&[name]).pop().expect("known benchmark name")
-}
-
 /// The benchmark registry entry for `name`.
 pub fn app_by_name(name: &str) -> Box<dyn RmsApp> {
     all_apps()

@@ -3,7 +3,6 @@
 use crate::baseline::StvBaseline;
 use crate::mode::{FrequencyPolicy, Mode};
 use crate::pareto::{ParetoExtractor, ParetoFront, ParetoPoint};
-use crate::quality::QualityModel;
 use accordion_apps::app::RmsApp;
 use accordion_apps::harness::FrontSet;
 use accordion_chip::chip::Chip;
@@ -60,11 +59,6 @@ impl Accordion {
     /// The STV baseline.
     pub fn baseline(&self) -> &StvBaseline {
         &self.baseline
-    }
-
-    /// The interpolated quality model.
-    pub fn quality_model(&self) -> QualityModel {
-        QualityModel::from_front_set(&self.fronts)
     }
 
     /// Extracts the four iso-execution-time pareto fronts

@@ -8,6 +8,9 @@
 //! dropped, completed-infected → corrupted end results) into a kernel
 //! run configuration, executes the *real* kernel under it, and
 //! compares the measured quality against the front-based estimate.
+//! The measured quality is normalized by the same [`FrontSet`] the
+//! estimate reads, so the point's kernel and its hyper reference are
+//! the only runs here.
 //!
 //! The error-rate bridge: a thread of `e` cycles is infected with
 //! probability `1 − (1 − Perr)^e`. The paper's shorthand `Perr = 1/e`
@@ -18,7 +21,7 @@ use crate::pareto::ParetoPoint;
 use crate::quality::QualityModel;
 use accordion_apps::app::RmsApp;
 use accordion_apps::config::RunConfig;
-use accordion_apps::harness::Scenario;
+use accordion_apps::harness::{reference_output, FrontSet, Scenario};
 use accordion_sim::ccdc::{run_round, CcDcConfig, DcOutcome};
 use accordion_sim::exec::ExecModel;
 use accordion_stats::rng::SeedStream;
@@ -47,16 +50,36 @@ impl PointValidation {
 }
 
 /// Validates a speculative `point` of `app` by protocol simulation +
-/// real kernel execution.
+/// real kernel execution. `fronts` is the app's measurement: its Drop
+/// fronts give the estimate and its default quality normalizes the
+/// measured one, so only the hyper reference and the point's own
+/// kernel run here.
 ///
 /// # Panics
 ///
 /// Panics if the point carries no error rate (a Safe point).
 pub fn validate_point(
     app: &dyn RmsApp,
+    fronts: &FrontSet,
+    point: &ParetoPoint,
+    seed: u64,
+) -> PointValidation {
+    let quality = QualityModel::from_front_set(fronts);
+    validate_with(app, &quality, point, seed, |knob, cfg| {
+        let reference = reference_output(app);
+        app.quality(&app.run(knob, cfg), &reference) / fronts.default_quality
+    })
+}
+
+/// [`validate_point`]'s body; `measure` runs the kernel at a knob
+/// under the protocol-derived configuration and returns its
+/// normalized quality.
+fn validate_with(
+    app: &dyn RmsApp,
     quality: &QualityModel,
     point: &ParetoPoint,
     seed: u64,
+    measure: impl FnOnce(f64, &RunConfig) -> f64,
 ) -> PointValidation {
     assert!(point.perr > 0.0, "validation needs a speculative point");
     let threads = app.profile_threads();
@@ -128,12 +151,7 @@ pub fn validate_point(
     // Execute the real kernel at the point's problem size; quality is
     // computed exactly as the fronts were: against the hyper-accurate
     // reference, normalized to the default-input error-free quality.
-    let knob = knob_for_size(app, point.size_norm);
-    let reference = app.run(app.hyper_knob(), &RunConfig::default_run(threads));
-    let default_out = app.run(app.default_knob(), &RunConfig::default_run(threads));
-    let q_default = app.quality(&default_out, &reference).max(1e-9);
-    let out = app.run(knob, &run_cfg);
-    let measured_quality = app.quality(&out, &reference) / q_default;
+    let measured_quality = measure(knob_for_size(app, point.size_norm), &run_cfg);
 
     PointValidation {
         estimated_quality: quality.quality_speculative(point.size_norm),
@@ -168,13 +186,13 @@ mod tests {
     use super::*;
     use crate::mode::{FrequencyPolicy, Mode, ProblemScaling};
     use crate::pareto::ParetoExtractor;
-    use accordion_apps::harness::FrontSet;
     use accordion_apps::hotspot::Hotspot;
     use accordion_chip::chip::Chip;
     use std::sync::OnceLock;
 
     struct Fx {
         app: Hotspot,
+        set: FrontSet,
         quality: QualityModel,
         point: ParetoPoint,
     }
@@ -198,6 +216,7 @@ mod tests {
                 .expect("speculative Still point");
             Fx {
                 app,
+                set,
                 quality,
                 point,
             }
@@ -206,7 +225,7 @@ mod tests {
 
     #[test]
     fn protocol_produces_the_targeted_error_level() {
-        let v = validate_point(&fx().app, &fx().quality, &fx().point, 7);
+        let v = validate_point(&fx().app, &fx().set, &fx().point, 7);
         let total_affected = v.dropped_fraction + v.infected_fraction;
         let target = match fx().quality.speculative_scenario() {
             Scenario::Drop(f) => f,
@@ -224,7 +243,7 @@ mod tests {
         // the measured end-to-end quality — it models hangs as Drop
         // and ignores corrupted-termination, which the paper argues
         // (and our corruption sweep confirms) behaves no better.
-        let v = validate_point(&fx().app, &fx().quality, &fx().point, 11);
+        let v = validate_point(&fx().app, &fx().set, &fx().point, 11);
         assert!(
             v.estimation_error() < 0.25,
             "estimate {} vs measured {}",
@@ -235,9 +254,41 @@ mod tests {
 
     #[test]
     fn validation_is_reproducible() {
-        let a = validate_point(&fx().app, &fx().quality, &fx().point, 3);
-        let b = validate_point(&fx().app, &fx().quality, &fx().point, 3);
+        let a = validate_point(&fx().app, &fx().set, &fx().point, 3);
+        let b = validate_point(&fx().app, &fx().set, &fx().point, 3);
         assert_eq!(a, b);
+    }
+
+    /// The three-run normalization `validate_point` replaced: its own
+    /// hyper reference and default-input run, normalized locally.
+    fn validate_by_rerunning(fx: &Fx, seed: u64) -> PointValidation {
+        let app = &fx.app;
+        validate_with(app, &fx.quality, &fx.point, seed, |knob, cfg| {
+            let threads = app.profile_threads();
+            let reference = app.run(app.hyper_knob(), &RunConfig::default_run(threads));
+            let default_out = app.run(app.default_knob(), &RunConfig::default_run(threads));
+            let q_default = app.quality(&default_out, &reference).max(1e-9);
+            let out = app.run(knob, cfg);
+            app.quality(&out, &reference) / q_default
+        })
+    }
+
+    #[test]
+    fn front_normalization_matches_the_three_run_oracle_bit_for_bit() {
+        for seed in [7, 11] {
+            let v = validate_point(&fx().app, &fx().set, &fx().point, seed);
+            let oracle = validate_by_rerunning(fx(), seed);
+            assert_eq!(v, oracle, "seed {seed}");
+            // `==` equates 0.0 and -0.0; the qualities must agree in bits.
+            assert_eq!(
+                v.measured_quality.to_bits(),
+                oracle.measured_quality.to_bits()
+            );
+            assert_eq!(
+                v.estimated_quality.to_bits(),
+                oracle.estimated_quality.to_bits()
+            );
+        }
     }
 
     #[test]
@@ -253,6 +304,6 @@ mod tests {
     fn safe_points_rejected() {
         let mut p = fx().point.clone();
         p.perr = 0.0;
-        validate_point(&fx().app, &fx().quality, &p, 0);
+        validate_point(&fx().app, &fx().set, &p, 0);
     }
 }

@@ -10,18 +10,16 @@
 //! return results in input order, so any downstream reduction sees
 //! exactly the sequence the sequential code saw.
 //!
-//! Three entry points:
+//! Two entry points:
 //!
 //! * [`par_map`] / [`par_map_indexed`] — ordered-result parallel map
 //!   over owned items / index ranges, the workhorses of the population
-//!   and figure generators;
+//!   and figure generators; tasks may borrow from the enclosing
+//!   environment and may open nested `par_map`s;
 //! * [`par_map_with`] / [`par_map_indexed_with`] — the same maps with
 //!   an explicit worker count, for callers (the `accordion-served`
 //!   request handlers) that must bound their own parallelism without
-//!   touching the process-global [`set_jobs`] override;
-//! * [`scope`] — a scoped spawn interface for heterogeneous task sets;
-//!   tasks may borrow from the enclosing environment and may freely
-//!   open nested scopes or nested `par_map`s.
+//!   touching the process-global [`set_jobs`] override.
 //!
 //! Beside them sits [`Memo`], the bounded singleflight memo every
 //! cache in the workspace is built on: concurrent callers of one key
@@ -45,10 +43,9 @@
 //! # Panics
 //!
 //! A panic inside a task is caught on the worker, the remaining work
-//! is abandoned (`par_map`) or drained unexecuted ([`scope`]), and the
-//! first payload is re-raised on the calling thread once the scope's
-//! threads have parked — the pool itself is never poisoned, and the
-//! next call starts clean.
+//! is abandoned, and the first payload is re-raised on the calling
+//! thread once the map's threads have been joined — the pool itself is
+//! never poisoned, and the next call starts clean.
 //!
 //! # Example
 //!
@@ -75,7 +72,7 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 
 type PanicPayload = Box<dyn Any + Send + 'static>;
 
@@ -316,186 +313,6 @@ where
     })
 }
 
-/// A task spawned into a [`scope`].
-type Task<'env> = Box<dyn FnOnce() + Send + 'env>;
-
-struct ScopeState {
-    /// Tasks pushed but not yet reserved by a worker.
-    queued: usize,
-    /// The scope body has returned; drain and exit.
-    done: bool,
-}
-
-struct Shared<'env> {
-    /// One deque per worker; empty when `jobs() == 1` (inline mode).
-    queues: Vec<Mutex<VecDeque<Task<'env>>>>,
-    state: Mutex<ScopeState>,
-    cv: Condvar,
-    panicked: Mutex<Option<PanicPayload>>,
-    rr: AtomicUsize,
-}
-
-/// Handle for spawning tasks inside a [`scope`].
-pub struct Scope<'env, 'scope> {
-    shared: &'scope Shared<'env>,
-}
-
-impl<'env> Scope<'env, '_> {
-    /// Spawns `task` onto the scope's workers (round-robin placement,
-    /// work-stealing execution). With `jobs() == 1` the task runs
-    /// immediately on the calling thread.
-    ///
-    /// Tasks may borrow anything outliving the `scope` call and may
-    /// open nested [`scope`]s or [`par_map`]s; they cannot spawn onto
-    /// *this* scope (spawn from the scope body instead).
-    pub fn spawn<F>(&self, task: F)
-    where
-        F: FnOnce() + Send + 'env,
-    {
-        if self.shared.queues.is_empty() {
-            // Sequential mode: run inline, mirroring the workers'
-            // panic capture so `scope` re-raises at the end.
-            if self
-                .shared
-                .panicked
-                .lock()
-                .expect("pool panic lock")
-                .is_some()
-            {
-                return;
-            }
-            if let Err(p) = catch_unwind(AssertUnwindSafe(|| run_one(task))) {
-                let mut slot = self.shared.panicked.lock().expect("pool panic lock");
-                if slot.is_none() {
-                    *slot = Some(p);
-                }
-            }
-            return;
-        }
-        let i = self.shared.rr.fetch_add(1, Ordering::Relaxed) % self.shared.queues.len();
-        self.shared.queues[i]
-            .lock()
-            .expect("pool queue lock")
-            .push_back(Box::new(task));
-        let mut st = self.shared.state.lock().expect("pool state lock");
-        st.queued += 1;
-        self.shared.cv.notify_one();
-    }
-}
-
-/// Runs `f` with a [`Scope`] handle, waits for every spawned task, and
-/// returns `f`'s result. Workers are scoped threads: they are joined
-/// before `scope` returns, so tasks may borrow from the caller's
-/// stack.
-///
-/// # Panics
-///
-/// If `f` or any task panics, the payload is re-raised here after all
-/// workers have parked; unexecuted tasks are dropped. Nested calls
-/// (from inside a task) are independent scopes and compose freely.
-pub fn scope<'env, F, R>(f: F) -> R
-where
-    F: for<'scope> FnOnce(&'scope Scope<'env, 'scope>) -> R,
-{
-    counter!("pool.scopes").inc();
-    let workers = jobs();
-    let shared = Shared {
-        queues: (0..if workers <= 1 { 0 } else { workers })
-            .map(|_| Mutex::new(VecDeque::new()))
-            .collect(),
-        state: Mutex::new(ScopeState {
-            queued: 0,
-            done: false,
-        }),
-        cv: Condvar::new(),
-        panicked: Mutex::new(None),
-        rr: AtomicUsize::new(0),
-    };
-
-    let tag = task_tag();
-    let result = std::thread::scope(|s| {
-        for w in 0..shared.queues.len() {
-            let shared = &shared;
-            spawn_worker(s, w, tag, move || worker_loop(shared, w));
-        }
-        let r = catch_unwind(AssertUnwindSafe(|| f(&Scope { shared: &shared })));
-        // The body returned (or unwound): no further spawns are
-        // possible. Wake every worker to drain the queues and exit.
-        let mut st = shared.state.lock().expect("pool state lock");
-        st.done = true;
-        shared.cv.notify_all();
-        drop(st);
-        r
-    });
-    // Workers are joined; re-raise the body's panic first, then the
-    // first task panic.
-    match result {
-        Ok(r) => {
-            if let Some(p) = shared.panicked.into_inner().expect("pool panic lock") {
-                resume_unwind(p);
-            }
-            r
-        }
-        Err(p) => resume_unwind(p),
-    }
-}
-
-fn worker_loop(shared: &Shared<'_>, w: usize) {
-    loop {
-        // Reserve one queued task, or exit once the scope is done and
-        // nothing is pending.
-        {
-            let mut st = shared.state.lock().expect("pool state lock");
-            loop {
-                if st.queued > 0 {
-                    st.queued -= 1;
-                    break;
-                }
-                if st.done {
-                    return;
-                }
-                st = shared.cv.wait(st).expect("pool state lock");
-            }
-        }
-        // The reservation guarantees a task exists in some queue
-        // (tasks are pushed before `queued` is incremented); scan own
-        // queue first, then steal.
-        let task = claim_task(shared, w);
-        if shared.panicked.lock().expect("pool panic lock").is_some() {
-            drop(task); // abort mode: drain without executing
-            continue;
-        }
-        if let Err(p) = catch_unwind(AssertUnwindSafe(|| run_one(task))) {
-            let mut slot = shared.panicked.lock().expect("pool panic lock");
-            if slot.is_none() {
-                *slot = Some(p);
-            }
-        }
-    }
-}
-
-fn claim_task<'env>(shared: &Shared<'env>, w: usize) -> Task<'env> {
-    loop {
-        if let Some(t) = shared.queues[w]
-            .lock()
-            .expect("pool queue lock")
-            .pop_front()
-        {
-            return t;
-        }
-        let nq = shared.queues.len();
-        for off in 1..nq {
-            let o = (w + off) % nq;
-            if let Some(t) = shared.queues[o].lock().expect("pool queue lock").pop_back() {
-                counter!("pool.steals").inc();
-                return t;
-            }
-        }
-        // Another claimant is mid-pop; the reserved task will appear.
-        std::hint::spin_loop();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -552,21 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn scope_runs_all_tasks() {
-        let hits: Vec<AtomicUsize> = (0..32).map(|_| AtomicUsize::new(0)).collect();
-        with_jobs(4, || {
-            scope(|s| {
-                for h in &hits {
-                    s.spawn(move || {
-                        h.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            })
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
     fn workers_are_named_for_profilers() {
         let names = with_jobs(4, || {
             par_map_indexed(16, |_| std::thread::current().name().map(str::to_string))
@@ -604,16 +406,6 @@ mod tests {
         // Sequential: the calling thread already carries it.
         let tags = with_jobs(1, || par_map_indexed_with(1, 3, |_| task_tag()));
         assert!(tags.iter().all(|&t| t == 77));
-        // Scope workers inherit it too.
-        let seen = Mutex::new(Vec::new());
-        with_jobs(4, || {
-            scope(|s| {
-                for _ in 0..8 {
-                    s.spawn(|| seen.lock().unwrap().push(task_tag()));
-                }
-            })
-        });
-        assert!(seen.lock().unwrap().iter().all(|&t| t == 77));
         set_task_tag(0);
         assert_eq!(task_tag(), 0);
     }

@@ -1,9 +1,8 @@
 //! Pool contract tests: panic propagation, nesting, ordering and edge
 //! cases — the guarantees the parallel Monte-Carlo rewiring leans on.
 
-use accordion_pool::{jobs, par_map, par_map_indexed, scope, set_jobs};
+use accordion_pool::{jobs, par_map, par_map_indexed, set_jobs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// The jobs override is process-global; integration tests in this
@@ -48,76 +47,12 @@ fn panic_in_par_map_propagates_and_pool_survives() {
 }
 
 #[test]
-fn panic_in_scope_task_propagates_and_pool_survives() {
-    for workers in [1usize, 4] {
-        with_jobs(workers, || {
-            let ran_after = AtomicUsize::new(0);
-            let err = catch_unwind(AssertUnwindSafe(|| {
-                scope(|s| {
-                    s.spawn(|| panic!("scope task exploded"));
-                    for _ in 0..8 {
-                        s.spawn(|| {
-                            ran_after.fetch_add(1, Ordering::Relaxed);
-                        });
-                    }
-                })
-            }));
-            assert!(err.is_err(), "workers={workers}");
-
-            // Subsequent scopes run normally.
-            let ok = AtomicUsize::new(0);
-            scope(|s| {
-                for _ in 0..4 {
-                    s.spawn(|| {
-                        ok.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-            assert_eq!(ok.load(Ordering::Relaxed), 4, "workers={workers}");
-        });
-    }
-}
-
-#[test]
-fn nested_scopes_compose() {
-    with_jobs(4, || {
-        let total = AtomicUsize::new(0);
-        scope(|outer| {
-            for _ in 0..4 {
-                let total = &total;
-                outer.spawn(move || {
-                    // A task opening its own scope must not deadlock
-                    // with the outer workers.
-                    scope(|inner| {
-                        for _ in 0..4 {
-                            inner.spawn(move || {
-                                total.fetch_add(1, Ordering::Relaxed);
-                            });
-                        }
-                    });
-                });
-            }
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 16);
+fn nested_par_map_inside_par_map_task() {
+    // A task opening its own par_map must not deadlock with the outer
+    // workers, and both levels keep their input order.
+    let rows = with_jobs(3, || {
+        par_map_indexed(3, |k| par_map_indexed(5, move |i| i + 10 * k))
     });
-}
-
-#[test]
-fn nested_par_map_inside_scope_task() {
-    let out = with_jobs(3, || {
-        scope(|s| {
-            let results: &Mutex<Vec<Vec<usize>>> = Box::leak(Box::new(Mutex::new(Vec::new())));
-            for k in 0..3usize {
-                s.spawn(move || {
-                    let inner = par_map_indexed(5, move |i| i + 10 * k);
-                    results.lock().unwrap().push(inner);
-                });
-            }
-            results
-        })
-    });
-    let mut rows = out.lock().unwrap().clone();
-    rows.sort();
     assert_eq!(
         rows,
         vec![
@@ -147,9 +82,6 @@ fn zero_and_single_item_edge_cases() {
             assert!(par_map_indexed(0, |i| i).is_empty());
             assert_eq!(par_map(vec![41], |x: i32| x + 1), vec![42]);
             assert_eq!(par_map_indexed(1, |i| i + 9), vec![9]);
-            // An empty scope is a no-op.
-            let r = scope(|_| 5);
-            assert_eq!(r, 5);
         });
     }
 }

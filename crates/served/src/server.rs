@@ -279,11 +279,6 @@ impl ShutdownTrigger {
     pub fn request(&self) {
         self.shared.request_stop();
     }
-
-    /// Whether shutdown has been requested.
-    pub fn is_requested(&self) -> bool {
-        self.shared.stop.load(Ordering::SeqCst)
-    }
 }
 
 /// A running server: the bound address plus the threads serving it.

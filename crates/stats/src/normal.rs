@@ -20,11 +20,6 @@
 pub struct StdNormal;
 
 impl StdNormal {
-    /// Probability density function.
-    pub fn pdf(&self, x: f64) -> f64 {
-        (-(x * x) / 2.0).exp() / (2.0 * std::f64::consts::PI).sqrt()
-    }
-
     /// Cumulative distribution function `Φ(x)`.
     pub fn cdf(&self, x: f64) -> f64 {
         0.5 * erfc(-x / std::f64::consts::SQRT_2)

@@ -585,19 +585,15 @@ pub fn advance_sim(cycles: u64) {
     CTX.with(|c| c.borrow_mut().sim_cycles += cycles);
 }
 
-/// The current track's simulated clock, cycles.
-pub fn sim_now() -> u64 {
-    CTX.with(|c| c.borrow().sim_cycles)
-}
-
 /// Records an event at the current track clock. See [`record_at`].
 pub fn record(event: SimEvent) {
     record_at(0, event);
 }
 
-/// Records an event at `sim_now() + offset_cycles`. No-op when the
-/// recorder is disabled; counted-and-dropped when no track is entered
-/// (untracked events cannot be ordered deterministically).
+/// Records an event `offset_cycles` past the current track clock.
+/// No-op when the recorder is disabled; counted-and-dropped when no
+/// track is entered (untracked events cannot be ordered
+/// deterministically).
 pub fn record_at(offset_cycles: u64, event: SimEvent) {
     if !enabled() {
         return;

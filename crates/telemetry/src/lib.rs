@@ -136,7 +136,8 @@ macro_rules! flight {
     };
 }
 
-/// Records a flight-recorder event at `sim_now() + $offset` cycles.
+/// Records a flight-recorder event `$offset` cycles past the current
+/// track clock.
 #[macro_export]
 macro_rules! flight_at {
     ($offset:expr, $event:expr) => {

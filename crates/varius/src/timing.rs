@@ -155,11 +155,6 @@ impl CoreTiming {
         1.0 / t_ns
     }
 
-    /// Critical-path count assumed per cycle.
-    pub fn critical_paths(&self) -> usize {
-        self.ncp
-    }
-
     /// Convenience: the safe frequency under `params`.
     pub fn safe_frequency_ghz(&self, params: &VariationParams) -> f64 {
         self.frequency_for_perr(params.perr_safe_target)

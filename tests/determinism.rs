@@ -79,6 +79,7 @@ fn flight_recording_is_byte_identical_across_job_counts() {
     let _ = event::drain();
     let run = || {
         generate("headline", 2).expect("known artifact");
+        generate("ablate-phi", 2).expect("known artifact");
         accordion_bench::profile::protocol_probe();
         event::drain()
     };
