@@ -16,7 +16,7 @@ use crate::app::RmsApp;
 use crate::config::RunConfig;
 use accordion_sim::workload::Workload;
 use accordion_stats::rng::StreamRng;
-use netlist::Netlist;
+use netlist::{IncrementalHpwl, Netlist};
 use rand::Rng;
 
 /// The canneal kernel configuration.
@@ -78,7 +78,7 @@ impl Canneal {
     ) -> Vec<f64> {
         assert_eq!(infected.len(), cfg.threads, "infection mask length");
         let netlist = self.build_netlist(cfg);
-        let mut placement = netlist.initial_placement();
+        let mut state = IncrementalHpwl::new(&netlist, &netlist.initial_placement());
         let n = netlist.len();
         let swaps = swaps_per_temp.max(0.0).round() as usize;
         let seed = cfg.seed_stream();
@@ -91,35 +91,24 @@ impl Canneal {
             // Threads interleave swap attempts round-robin on the
             // shared placement; a deterministic serialization of the
             // lock-based parallel algorithm.
-            for s in 0..swaps {
-                for t in 0..cfg.threads {
-                    let rng = &mut thread_rngs[t];
+            for _ in 0..swaps {
+                for (rng, &misbehaves) in thread_rngs.iter_mut().zip(infected) {
                     // Draw the candidate pair regardless of drop so the
                     // random streams stay aligned across scenarios.
                     let a = rng.random_range(0..n);
                     let b = rng.random_range(0..n);
                     let u: f64 = rng.random();
-                    let _ = s;
                     if a == b {
                         continue;
                     }
-                    let misbehaves = infected[t];
                     if misbehaves && mode == CannealErrorMode::DropSwaps {
                         continue; // swap() prevented
                     }
-                    let before =
-                        netlist.element_cost(&placement, a) + netlist.element_cost(&placement, b);
-                    placement.swap(a, b);
-                    let after =
-                        netlist.element_cost(&placement, a) + netlist.element_cost(&placement, b);
-                    let delta = after - before;
-                    let mut accept = delta < 0.0 || u < (-delta / temperature.max(1e-12)).exp();
-                    if misbehaves && mode == CannealErrorMode::InvertDecision {
-                        accept = !accept;
-                    }
-                    if !accept {
-                        placement.swap(a, b); // undo
-                    }
+                    let inverted = misbehaves && mode == CannealErrorMode::InvertDecision;
+                    state.try_swap(a, b, |delta| {
+                        let metropolis = delta < 0.0 || u < (-delta / temperature.max(1e-12)).exp();
+                        metropolis != inverted
+                    });
                 }
             }
             temperature *= self.cooling;
@@ -127,6 +116,7 @@ impl Canneal {
 
         // Output: final cost (the quality carrier) plus the placement
         // for completeness.
+        let placement = state.placement();
         let cost = netlist.routing_cost(&placement);
         let mut out = Vec::with_capacity(1 + n);
         out.push(cost);
@@ -259,6 +249,117 @@ mod tests {
         let q_big = a.quality(&big, &hyper);
         assert!(q_big > q_small, "quality grows with problem size");
         assert!(q_big <= 1.02, "cannot meaningfully beat the hyper run");
+    }
+
+    /// The per-element-sum kernel [`IncrementalHpwl`] replaced: each swap
+    /// attempt re-measures every net of both elements before and
+    /// after the swap.
+    fn run_by_element_sums(
+        a: &Canneal,
+        swaps_per_temp: f64,
+        cfg: &RunConfig,
+        mode: CannealErrorMode,
+        infected: &[bool],
+    ) -> Vec<f64> {
+        let netlist = a.build_netlist(cfg);
+        let mut placement = netlist.initial_placement();
+        let n = netlist.len();
+        let swaps = swaps_per_temp.max(0.0).round() as usize;
+        let seed = cfg.seed_stream();
+        let mut thread_rngs: Vec<StreamRng> = (0..cfg.threads)
+            .map(|t| seed.stream("canneal-thread", t as u64))
+            .collect();
+        let mut temperature = a.t_initial;
+        for _step in 0..a.temp_steps {
+            for _ in 0..swaps {
+                for t in 0..cfg.threads {
+                    let rng = &mut thread_rngs[t];
+                    let (x, y) = (rng.random_range(0..n), rng.random_range(0..n));
+                    let u: f64 = rng.random();
+                    if x == y || (infected[t] && mode == CannealErrorMode::DropSwaps) {
+                        continue;
+                    }
+                    let before =
+                        netlist.element_cost(&placement, x) + netlist.element_cost(&placement, y);
+                    placement.swap(x, y);
+                    let after =
+                        netlist.element_cost(&placement, x) + netlist.element_cost(&placement, y);
+                    let delta = after - before;
+                    let mut accept = delta < 0.0 || u < (-delta / temperature.max(1e-12)).exp();
+                    if infected[t] && mode == CannealErrorMode::InvertDecision {
+                        accept = !accept;
+                    }
+                    if !accept {
+                        placement.swap(x, y);
+                    }
+                }
+            }
+            temperature *= a.cooling;
+        }
+        let mut out = vec![netlist.routing_cost(&placement)];
+        out.extend((0..n).map(|e| placement.location_of(e) as f64));
+        out
+    }
+
+    fn assert_matches_oracle(a: &Canneal, knob: f64, cfg: &RunConfig, mode: CannealErrorMode) {
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let got = a.run_with_error_mode(knob, cfg, mode, &cfg.drop_mask);
+        let want = run_by_element_sums(a, knob, cfg, mode, &cfg.drop_mask);
+        assert_eq!(
+            bits(got),
+            bits(want),
+            "knob {knob}, {} threads, {} dropped, {mode:?}",
+            cfg.threads,
+            cfg.threads - cfg.live_threads()
+        );
+    }
+
+    const MODES: [CannealErrorMode; 2] = [
+        CannealErrorMode::DropSwaps,
+        CannealErrorMode::InvertDecision,
+    ];
+
+    #[test]
+    fn incremental_hpwl_matches_the_element_sum_oracle_bit_for_bit() {
+        let a = app();
+        for knob in [4.0, 24.0, 128.0] {
+            for threads in [1, 16, 64] {
+                for fraction in [0.0, 0.25, 0.5] {
+                    let cfg = RunConfig::with_drop(threads, fraction);
+                    for mode in MODES {
+                        assert_matches_oracle(&a, knob, &cfg, mode);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_hpwl_matches_the_oracle_when_swapped_elements_share_nets() {
+        // On a 4×4 grid most element pairs share a net, so most swap
+        // attempts move two terminals of one net.
+        let a = Canneal {
+            width: 4,
+            height: 4,
+            ..app()
+        };
+        let cfg = RunConfig::with_drop(16, 0.25);
+        let netlist = a.build_netlist(&cfg);
+        let pairs = (0..16).flat_map(|x| (0..x).map(move |y| (x, y)));
+        let shared = pairs
+            .filter(|&(x, y)| {
+                netlist.nets_of[x]
+                    .iter()
+                    .any(|i| netlist.nets_of[y].contains(i))
+            })
+            .count();
+        assert!(
+            shared * 2 > 16 * 15 / 2,
+            "{shared} of 120 pairs share a net"
+        );
+        for mode in MODES {
+            assert_matches_oracle(&a, 24.0, &cfg, mode);
+        }
     }
 
     #[test]

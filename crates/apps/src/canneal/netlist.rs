@@ -30,6 +30,27 @@ pub struct Placement {
     width: usize,
 }
 
+/// A placement under annealing with its routing cost kept up to date:
+/// the (x, y) slot of every element and the integer HPWL of every net.
+/// A swap attempt reads the old cost of the two elements' nets from the
+/// stored HPWLs and re-measures only those nets, with no division per
+/// terminal.
+///
+/// Every cost is a small integer, so the `f64` delta a swap reports
+/// equals the difference of [`Netlist::element_cost`] sums exactly,
+/// and, like those sums, counts a net shared by both elements twice.
+#[derive(Debug)]
+pub struct IncrementalHpwl<'a> {
+    netlist: &'a Netlist,
+    /// `xy[e]` is the slot of element `e`.
+    xy: Vec<(u32, u32)>,
+    /// `hpwl[i]` is net `i`'s HPWL under `xy`.
+    hpwl: Vec<u32>,
+    /// The swapped elements' nets re-measured, `nets_of[a]` then
+    /// `nets_of[b]`.
+    fresh: Vec<u32>,
+}
+
 impl Netlist {
     /// Generates a random netlist with `width × height` elements and
     /// ≈`avg_degree` net memberships per element. Most nets are local
@@ -148,6 +169,75 @@ impl Placement {
     }
 }
 
+/// HPWL of the net with terminals `net` when element `e` sits at
+/// `xy[e]`.
+fn hpwl_at(net: &[usize], xy: &[(u32, u32)]) -> u32 {
+    let (mut min_x, mut max_x, mut min_y, mut max_y) = (u32::MAX, 0, u32::MAX, 0);
+    for &e in net {
+        let (x, y) = xy[e];
+        min_x = min_x.min(x);
+        max_x = max_x.max(x);
+        min_y = min_y.min(y);
+        max_y = max_y.max(y);
+    }
+    (max_x - min_x) + (max_y - min_y)
+}
+
+impl<'a> IncrementalHpwl<'a> {
+    /// Measures the slots and net costs of placement `p`.
+    pub fn new(netlist: &'a Netlist, p: &Placement) -> Self {
+        let xy: Vec<(u32, u32)> = (0..netlist.len())
+            .map(|e| {
+                let (x, y) = p.xy_of(e);
+                (x as u32, y as u32)
+            })
+            .collect();
+        let hpwl = netlist.nets.iter().map(|n| hpwl_at(n, &xy)).collect();
+        Self {
+            netlist,
+            xy,
+            hpwl,
+            fresh: Vec::new(),
+        }
+    }
+
+    /// Attempts to swap elements `a` and `b`. `accept` sees the change
+    /// in the two elements' cost (after − before) and decides: an
+    /// accepted swap is committed, a rejected one leaves the placement
+    /// and the stored HPWLs as they were.
+    pub fn try_swap(&mut self, a: usize, b: usize, accept: impl FnOnce(f64) -> bool) {
+        let netlist = self.netlist;
+        let touched = || netlist.nets_of[a].iter().chain(&netlist.nets_of[b]);
+        let before: u32 = touched().map(|&i| self.hpwl[i]).sum();
+        self.xy.swap(a, b);
+        self.fresh.clear();
+        for &i in touched() {
+            self.fresh.push(hpwl_at(&netlist.nets[i], &self.xy));
+        }
+        let after: u32 = self.fresh.iter().sum();
+        if accept(f64::from(after) - f64::from(before)) {
+            for (&i, &h) in touched().zip(&self.fresh) {
+                self.hpwl[i] = h;
+            }
+        } else {
+            self.xy.swap(a, b);
+        }
+    }
+
+    /// The current placement.
+    pub fn placement(&self) -> Placement {
+        let width = self.netlist.width;
+        Placement {
+            location_of: self
+                .xy
+                .iter()
+                .map(|&(x, y)| y as usize * width + x as usize)
+                .collect(),
+            width,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,6 +312,32 @@ mod tests {
         let p = n.initial_placement();
         for i in 0..n.nets.len() {
             assert!(n.net_hpwl(&p, i) <= (n.width + n.height) as f64);
+        }
+    }
+
+    #[test]
+    fn incremental_swaps_match_element_sums_when_the_elements_share_a_net() {
+        let n = netlist();
+        let mut placement = n.initial_placement();
+        let mut state = IncrementalHpwl::new(&n, &placement);
+        // Two terminals of one net, accepted and rejected in turn.
+        for (k, net) in n.nets.iter().enumerate().take(40) {
+            let (a, b) = (net[0], net[1]);
+            let before = n.element_cost(&placement, a) + n.element_cost(&placement, b);
+            let mut swapped = placement.clone();
+            swapped.swap(a, b);
+            let after = n.element_cost(&swapped, a) + n.element_cost(&swapped, b);
+            let mut seen = None;
+            let accept = k % 2 == 0;
+            state.try_swap(a, b, |delta| {
+                seen = Some(delta);
+                accept
+            });
+            assert_eq!(seen.map(f64::to_bits), Some((after - before).to_bits()));
+            if accept {
+                placement = swapped;
+            }
+            assert_eq!(state.placement(), placement, "net {k}");
         }
     }
 

@@ -8,7 +8,11 @@
 //!
 //! A [`FrontSet`] is the one measurement of an app: the fronts of
 //! Figures 2 and 4, the Table 3 characterization and the end-to-end
-//! validation all read it instead of re-running the sweep.
+//! validation all read it instead of re-running the sweep. Measuring
+//! one runs the hyper-accurate reference, then every (scenario, knob)
+//! kernel run of the three fronts in parallel on the
+//! [`accordion_pool`] workers; the default input's quality is the
+//! Default front's point at the default knob, not a run of its own.
 
 use crate::app::RmsApp;
 use crate::config::RunConfig;
@@ -135,35 +139,53 @@ impl FrontSet {
     }
 
     /// Measures an explicit scenario list.
+    ///
+    /// The hyper-accurate reference runs first; then every (scenario,
+    /// knob) pair runs as one task of the ordered
+    /// [`accordion_pool::par_map`], keeping only its quality against
+    /// the shared reference, so at most [`accordion_pool::jobs`] kernel
+    /// outputs are alive at once and the set is the same at any job
+    /// count. The default quality is the Default sweep's point at the
+    /// default knob; the default knob runs on its own only when no
+    /// sweep covers it.
     pub fn measure_scenarios(app: &dyn RmsApp, scenarios: &[Scenario]) -> Self {
         let threads = app.profile_threads();
         let reference = reference_output(app);
-        let default_out = app.run(app.default_knob(), &RunConfig::default_run(threads));
-        let q_default = app.quality(&default_out, &reference).max(1e-9);
+        let sweep = app.knob_sweep();
+        let mut runs: Vec<(Scenario, f64)> = scenarios
+            .iter()
+            .flat_map(|&scenario| sweep.iter().map(move |&knob| (scenario, knob)))
+            .collect();
+        let default_run = (Scenario::Default, app.default_knob());
+        let default_at = runs
+            .iter()
+            .position(|&r| r == default_run)
+            .unwrap_or_else(|| {
+                runs.push(default_run);
+                runs.len() - 1
+            });
+        let qualities = accordion_pool::par_map(runs, |(scenario, knob)| {
+            app.quality(&app.run(knob, &scenario.config(threads)), &reference)
+        });
+        let q_default = qualities[default_at].max(1e-9);
         let size_default = app.problem_size(app.default_knob());
 
         let fronts = scenarios
             .iter()
-            .map(|&scenario| {
-                let cfg = scenario.config(threads);
-                let points = app
-                    .knob_sweep()
+            .zip(qualities.chunks(sweep.len()))
+            .map(|(&scenario, qualities)| QualityFront {
+                app: app.name().to_string(),
+                scenario,
+                points: sweep
                     .iter()
-                    .map(|&knob| {
-                        let quality = app.quality(&app.run(knob, &cfg), &reference);
-                        FrontPoint {
-                            knob,
-                            size_norm: app.problem_size(knob) / size_default,
-                            quality,
-                            quality_norm: quality / q_default,
-                        }
+                    .zip(qualities)
+                    .map(|(&knob, &quality)| FrontPoint {
+                        knob,
+                        size_norm: app.problem_size(knob) / size_default,
+                        quality,
+                        quality_norm: quality / q_default,
                     })
-                    .collect();
-                QualityFront {
-                    app: app.name().to_string(),
-                    scenario,
-                    points,
-                }
+                    .collect(),
             })
             .collect();
 
@@ -233,6 +255,21 @@ mod tests {
         assert!(
             below_2 >= d0.points.len() - 2,
             "Drop 1/2 must sit below Drop 1/4"
+        );
+    }
+
+    #[test]
+    fn default_knob_runs_on_its_own_without_a_default_sweep() {
+        let full = fronts();
+        let drop_only =
+            FrontSet::measure_scenarios(&Hotspot::paper_default(), &[Scenario::Drop(0.25)]);
+        assert_eq!(
+            drop_only.default_quality.to_bits(),
+            full.default_quality.to_bits()
+        );
+        assert_eq!(
+            format!("{:?}", drop_only.fronts),
+            format!("{:?}", [full.front(Scenario::Drop(0.25)).unwrap()])
         );
     }
 

@@ -30,9 +30,10 @@ use transform::{dct2, dequantize, idct2, quantize};
 const MB: usize = 8;
 
 /// Most problem sizes [`SIZE_MEMO`] keeps. The knobs reached in-tree
-/// (the sweep, the default and hyper QPs, and `knob_for_size`'s
-/// interpolated probes) number about 60; past 128 the least recently
-/// used size is evicted.
+/// are the hyper QP and `knob_for_size`'s probes, nine per sweep
+/// window with the sweep and the default QP among them: 58 distinct
+/// knobs at most, fewer when a search stops at an exact size match.
+/// Past 128 the least recently used size is evicted.
 const SIZE_MEMO_CAP: usize = 128;
 
 /// Key of a clean-encode problem size: `(side, frames, qp.to_bits())`.

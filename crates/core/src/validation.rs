@@ -164,6 +164,9 @@ fn validate_with(
 
 /// Finds the knob whose problem size is closest to `size_norm` × the
 /// default size (kernels take knobs, not sizes).
+///
+/// Probing stops at the first exact match: the strict `<` keeps the
+/// first knob of least error, and nothing beats an error of zero.
 fn knob_for_size(app: &dyn RmsApp, size_norm: f64) -> f64 {
     let target = size_norm * app.problem_size(app.default_knob());
     // Search the sweep plus a dense interpolation between neighbours.
@@ -173,6 +176,9 @@ fn knob_for_size(app: &dyn RmsApp, size_norm: f64) -> f64 {
         for step in 0..=8 {
             let k = w[0] + (w[1] - w[0]) * step as f64 / 8.0;
             let err = (app.problem_size(k) - target).abs();
+            if err == 0.0 {
+                return k;
+            }
             if err < best.0 {
                 best = (err, k);
             }
@@ -288,6 +294,43 @@ mod tests {
                 v.estimated_quality.to_bits(),
                 oracle.estimated_quality.to_bits()
             );
+        }
+    }
+
+    /// [`knob_for_size`] without the early return: every probe of
+    /// every sweep window.
+    fn knob_for_size_by_full_scan(app: &dyn RmsApp, size_norm: f64) -> f64 {
+        let target = size_norm * app.problem_size(app.default_knob());
+        let mut best = (f64::INFINITY, app.default_knob());
+        for w in app.knob_sweep().windows(2) {
+            for step in 0..=8 {
+                let k = w[0] + (w[1] - w[0]) * step as f64 / 8.0;
+                let err = (app.problem_size(k) - target).abs();
+                if err < best.0 {
+                    best = (err, k);
+                }
+            }
+        }
+        best.1
+    }
+
+    #[test]
+    fn knob_search_matches_the_full_scan_for_every_paper_app() {
+        for app in accordion_apps::app::all_apps() {
+            let app = app.as_ref();
+            let size_default = app.problem_size(app.default_knob());
+            let sizes = app
+                .knob_sweep()
+                .into_iter()
+                .map(|k| app.problem_size(k) / size_default);
+            for size_norm in std::iter::once(1.0).chain(sizes) {
+                assert_eq!(
+                    knob_for_size(app, size_norm).to_bits(),
+                    knob_for_size_by_full_scan(app, size_norm).to_bits(),
+                    "{} at size_norm {size_norm}",
+                    app.name()
+                );
+            }
         }
     }
 

@@ -138,6 +138,28 @@ fn pareto_sweep_is_jobs_invariant() {
     );
 }
 
+/// Front measurement runs each app's (scenario, knob) pairs through the
+/// pool. The artifacts above read `FrontSet::measured`'s process-wide
+/// cache, which only the first job count fills, so the fronts are
+/// measured directly here and compared bit for bit through `Debug`.
+#[test]
+fn front_measurement_is_jobs_invariant() {
+    let _guard = JOBS.lock().unwrap_or_else(|e| e.into_inner());
+    let apps = accordion_apps::all_apps()
+        .into_iter()
+        .chain(accordion_apps::extension_apps());
+    for app in apps {
+        let seq = with_jobs(1, || FrontSet::measure(app.as_ref()));
+        let par = with_jobs(8, || FrontSet::measure(app.as_ref()));
+        assert_eq!(
+            format!("{seq:?}"),
+            format!("{par:?}"),
+            "{}: fronts differ between --jobs 1 and --jobs 8",
+            app.name()
+        );
+    }
+}
+
 #[test]
 fn population_fabrication_is_jobs_invariant() {
     let _guard = JOBS.lock().unwrap_or_else(|e| e.into_inner());
