@@ -22,7 +22,7 @@
 //!   open-loop one keeps the pressure on and bills the backlog.
 //!
 //! A warmup phase (excluded from the recorded window) lets the
-//! population cache and the quality-front memoization settle, so the
+//! chip cache and the quality-front memoization settle, so the
 //! reported percentiles describe steady state, not cold start.
 //!
 //! The request mix is a pure function of `(seed, request index)` via
@@ -116,7 +116,7 @@ pub enum RequestKind {
 }
 
 /// Population seed shared by every loadtest request — the mix is
-/// designed to hit the population cache after the first fabrication.
+/// designed to hit the chip cache after the first fabrications.
 const POP_SEED: u64 = 8211;
 
 /// The deterministic mix: request `k` of a run with root `seed`.

@@ -16,8 +16,8 @@
 //!   budget (`N_STV`),
 //! * [`chip`] — a fabricated [`chip::Chip`] combining topology with one
 //!   variation sample,
-//! * [`popcache`] — a process-wide LRU cache of fabricated
-//!   populations, the amortization layer behind `accordion-served`,
+//! * [`popcache`] — a process-wide LRU cache of fabricated chips,
+//!   the amortization layer behind `accordion-served`,
 //! * [`organization`] — the Figure 3 CC/DC design space,
 //! * [`thermal`] — the leakage–temperature feedback loop behind the
 //!   Table 2 cooling limit,

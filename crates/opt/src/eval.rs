@@ -86,11 +86,10 @@ impl OperatingPoint {
     }
 }
 
-/// Deterministic, cached candidate evaluator for one `(population,
-/// chip, app)` binding.
+/// Deterministic, cached candidate evaluator for one `(chip, app)`
+/// binding.
 pub struct Evaluator {
-    pop: Arc<Vec<Chip>>,
-    chip_index: usize,
+    chip: Arc<Chip>,
     cols: ChipColumns,
     quality: QualityModel,
     exec: ExecModel,
@@ -104,8 +103,8 @@ pub struct Evaluator {
 impl Evaluator {
     /// Binds an evaluator to chip `chip_index` of the
     /// `(topo, pop_seed, chips)` population (via the process-wide
-    /// popcache) and benchmark `app` (quality fronts via the
-    /// process-wide measurement cache).
+    /// popcache, which fabricates that chip alone) and benchmark `app`
+    /// (quality fronts via the process-wide measurement cache).
     ///
     /// # Errors
     ///
@@ -125,22 +124,19 @@ impl Evaluator {
                 let known: Vec<String> = all_apps().iter().map(|a| a.name().to_string()).collect();
                 format!("unknown app {app:?}; known: {}", known.join(", "))
             })?;
-        let pop = popcache::population(topo, pop_seed, chips)
-            .map_err(|e| format!("variation sampler: {e:?}"))?;
-        if chip_index >= pop.len() {
+        if chip_index >= chips {
             return Err(format!(
-                "chip index {chip_index} outside population of {}",
-                pop.len()
+                "chip index {chip_index} outside population of {chips}"
             ));
         }
-        let chip = &pop[chip_index];
-        let cols = ChipColumns::build(chip);
+        let (chip, _) = popcache::chip(topo, pop_seed, chip_index)
+            .map_err(|e| format!("variation sampler: {e:?}"))?;
+        let cols = ChipColumns::build(&chip);
         let quality = QualityModel::measure(app.as_ref());
         let exec = ExecModel::paper_default();
-        let baseline = StvBaseline::compute(chip, app.as_ref(), &exec);
+        let baseline = StvBaseline::compute(&chip, app.as_ref(), &exec);
         Ok(Self {
-            pop,
-            chip_index,
+            chip,
             cols,
             quality,
             exec,
@@ -152,7 +148,7 @@ impl Evaluator {
 
     /// The chip candidates are evaluated on.
     pub fn chip(&self) -> &Chip {
-        &self.pop[self.chip_index]
+        &self.chip
     }
 
     /// The STV reference execution everything is normalized to.

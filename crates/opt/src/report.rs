@@ -21,9 +21,9 @@ pub struct OptimizeRequest {
     pub app: String,
     /// Chip topology.
     pub topo: Topology,
-    /// Population seed (popcache key together with `topo`/`chips`).
+    /// Population seed (popcache key together with `topo`/`chip`).
     pub pop_seed: u64,
-    /// Population size to fabricate.
+    /// Population size; only bounds `chip`.
     pub chips: usize,
     /// Which chip of the population to optimize for.
     pub chip: usize,

@@ -9,8 +9,9 @@
 //! simulation path, so a query returns exactly what the batch
 //! artifacts compute for the same parameters:
 //!
-//! 1. **population** — [`accordion_chip::popcache`] returns the
-//!    `(topology, seed, chips)` population, fabricated at most once;
+//! 1. **chip** — [`accordion_chip::popcache`] returns chip `chip` of
+//!    the `(topology, seed)` population, fabricated at most once while
+//!    resident and without its `chips - 1` siblings;
 //! 2. **timing** — one [`OperatingTimings`] context per supply: the
 //!    chip's own per-cluster timing (at its designated `VddNTV`) or
 //!    re-derived at a requested supply, flattened to columnar form so
@@ -43,7 +44,8 @@ use accordion_telemetry::{counter, flight, flight_track, span};
 use std::sync::{Arc, LazyLock};
 use std::time::Instant;
 
-/// Upper bound on `chips` per query (bounds memory per cache entry).
+/// Upper bound on `chips` per query, and so on the chip index; a query
+/// fabricates only the chip it reads, whatever its population size.
 const MAX_CHIPS: usize = 100;
 /// Upper bound on a sweep's grid size.
 const MAX_GRID: usize = 1024;
@@ -59,11 +61,11 @@ pub struct SimQuery {
     pub size: f64,
     /// Supply override in millivolts; `None` uses the chip's `VddNTV`.
     pub vdd_mv: Option<f64>,
-    /// Population seed (cache key together with `topo`/`chips`).
+    /// Population seed (cache key together with `topo`/`chip`).
     pub pop_seed: u64,
     /// Protocol-simulation seed.
     pub seed: u64,
-    /// Population size to fabricate.
+    /// Population size; only bounds `chip`.
     pub chips: usize,
     /// Which chip of the population to query.
     pub chip: usize,
@@ -198,8 +200,17 @@ fn quality_for(app_name: &str) -> Arc<QualityModel> {
 /// [`EngineError::Bad`] for client mistakes surfacing late,
 /// [`EngineError::Internal`] for model failures.
 pub fn simulate(q: &SimQuery) -> Result<Json, EngineError> {
+    let chip = cached_chip(q)?;
+    let vdd_v = q.vdd_mv.map_or(chip.vdd_ntv_v(), |mv| mv / 1000.0);
+    let ctx = OperatingTimings::at(&chip, vdd_v);
+    simulate_at(q, &chip, &ctx)
+}
+
+/// The query's chip from [`popcache::chip`], noting the lookup in the
+/// request's access-log line and as the `serve.cache` flight stage.
+fn cached_chip(q: &SimQuery) -> Result<Arc<Chip>, EngineError> {
     let cache_started = Instant::now();
-    let (pop, cache_hit) = popcache::population_with_status(q.topo, q.pop_seed, q.chips)
+    let (chip, cache_hit) = popcache::chip(q.topo, q.pop_seed, q.chip)
         .map_err(|e| EngineError::Internal(format!("variation sampler: {e:?}")))?;
     crate::obs::note_cache(cache_hit);
     let cache_us = cache_started.elapsed().as_micros() as u64;
@@ -208,14 +219,11 @@ pub fn simulate(q: &SimQuery) -> Result<Json, EngineError> {
         stage: "serve.cache",
         us: cache_us,
     });
-    let chip = &pop[q.chip];
-    let vdd_v = q.vdd_mv.map_or(chip.vdd_ntv_v(), |mv| mv / 1000.0);
-    let ctx = OperatingTimings::at(chip, vdd_v);
-    simulate_at(q, chip, &ctx)
+    Ok(chip)
 }
 
 /// The per-point core of [`simulate`]: everything downstream of the
-/// population lookup and per-supply timing derivation, so a sweep can
+/// chip lookup and per-supply timing derivation, so a sweep can
 /// hoist both and share one [`OperatingTimings`] across every grid
 /// cell at the same `Vdd`. `ctx` must have been derived from `chip`
 /// at the query's operating supply.
@@ -368,21 +376,10 @@ pub fn sweep(doc: &Json, workers: usize) -> Result<Json, EngineError> {
         }
     }
 
-    // Warm the shared state sequentially (population + quality fronts)
-    // so the fan-out below is pure per-point work.
+    // Warm the shared state sequentially (chip + quality fronts) so
+    // the fan-out below is pure per-point work.
     let _ = quality_for(&base.app);
-    let cache_started = Instant::now();
-    let (pop, cache_hit) =
-        popcache::population_with_status(base.topo, base.pop_seed, base.chips)
-            .map_err(|e| EngineError::Internal(format!("variation sampler: {e:?}")))?;
-    crate::obs::note_cache(cache_hit);
-    let cache_us = cache_started.elapsed().as_micros() as u64;
-    accordion_telemetry::event::advance_sim(cache_us);
-    flight!(SimEvent::ServeStage {
-        stage: "serve.cache",
-        us: cache_us,
-    });
-    let chip = &pop[base.chip];
+    let chip = cached_chip(&base)?;
 
     // Incremental sweep: one per-supply timing context per distinct
     // `Vdd` (grid rows), derived once here and shared by every size
@@ -391,7 +388,7 @@ pub fn sweep(doc: &Json, workers: usize) -> Result<Json, EngineError> {
         .iter()
         .map(|&vdd| {
             let vdd_v = vdd.map_or(chip.vdd_ntv_v(), |mv| mv / 1000.0);
-            OperatingTimings::at(chip, vdd_v)
+            OperatingTimings::at(&chip, vdd_v)
         })
         .collect();
 
@@ -420,7 +417,7 @@ pub fn sweep(doc: &Json, workers: usize) -> Result<Json, EngineError> {
         } else {
             flight_track!("sweep/point{}", i)
         };
-        simulate_at(&grid[i], chip, &ctxs[i / sizes.len()])
+        simulate_at(&grid[i], &chip, &ctxs[i / sizes.len()])
     });
     let fanout_us = fanout_started.elapsed().as_micros() as u64;
     accordion_telemetry::event::advance_sim(fanout_us);
@@ -602,7 +599,7 @@ pub fn optimize_request_from_json(doc: &Json) -> Result<accordion_opt::OptimizeR
 
 /// Parses and runs a `/v1/optimize` body: knob-space search via the
 /// seeded NSGA-II loop in `accordion-opt`, sharing the process-wide
-/// population/quality caches with the other routes. The report is a
+/// chip/quality caches with the other routes. The report is a
 /// pure function of the request document (see `accordion_opt::report`),
 /// which is what lets the server memoize it by request body.
 ///
@@ -711,6 +708,29 @@ mod tests {
             .and_then(Json::as_f64)
             .unwrap();
         assert!(power > 0.0 && power < 200.0, "power {power}");
+    }
+
+    #[test]
+    fn a_cold_chip_renders_as_in_its_whole_population() {
+        // A cold query fabricates chip 99 alone; its bytes must not
+        // change once the whole population is resident, and must be
+        // those of chip 99 of a directly fabricated population.
+        let q = query(
+            r#"{"app": "hotspot", "topo": "small", "chips": 100, "chip": 99, "pop_seed": 9105}"#,
+        );
+        let alone = simulate(&q).unwrap().render();
+        assert_eq!(popcache::population(q.topo, 9105, 100).unwrap().len(), 100);
+        assert_eq!(simulate(&q).unwrap().render(), alone);
+        let direct = Chip::fabricate_population(
+            q.topo,
+            &accordion_varius::params::VariationParams::default(),
+            SeedStream::new(9105),
+            0,
+            100,
+        )
+        .unwrap();
+        let ctx = OperatingTimings::at(&direct[99], direct[99].vdd_ntv_v());
+        assert_eq!(simulate_at(&q, &direct[99], &ctx).unwrap().render(), alone);
     }
 
     #[test]

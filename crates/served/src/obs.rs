@@ -6,7 +6,7 @@
 //! Each accepted connection gets a **request id** from a per-server
 //! accept-order counter. The handler thread installs a [`RequestCtx`]
 //! (thread-local) for the duration of the request; layers below the
-//! router — today the engine's population-cache lookup — annotate it
+//! router — today the engine's chip-cache lookup — annotate it
 //! via [`note_cache`] / [`note_handler`] without threading a context
 //! argument through every signature. The id also becomes the pool
 //! task tag and the flight-recorder track name (`req00000001`), so a
@@ -36,7 +36,7 @@ use std::sync::Mutex;
 pub struct RequestCtx {
     /// Accept-order request id (1-based; 0 = no request active).
     pub id: u64,
-    /// Population-cache outcome: `Some(true)` hit, `Some(false)` miss,
+    /// Chip-cache outcome: `Some(true)` hit, `Some(false)` miss,
     /// `None` when the request never touched the cache.
     pub cache_hit: Option<bool>,
     /// Logical handler name (`simulate`, `sweep`, `metrics`, ...).
@@ -64,10 +64,8 @@ pub fn end_request() -> Option<RequestCtx> {
     CTX.with(|c| c.borrow_mut().take())
 }
 
-/// Records the population-cache outcome of the current request. The
-/// first annotation wins (a sweep touches the cache once per warmup,
-/// then per point; the warmup is the interesting one). No-op outside a
-/// request.
+/// Records the chip-cache outcome of the current request. The first
+/// annotation wins. No-op outside a request.
 pub fn note_cache(hit: bool) {
     CTX.with(|c| {
         if let Some(ctx) = c.borrow_mut().as_mut() {
@@ -109,7 +107,7 @@ pub struct AccessRecord {
     pub outcome: &'static str,
     /// Logical handler name, `"-"` when no route ran.
     pub handler: &'static str,
-    /// Population-cache outcome: `hit`, `miss`, or `-`.
+    /// Chip-cache outcome: `hit`, `miss`, or `-`.
     pub cache: &'static str,
     /// Response body bytes.
     pub bytes: u64,

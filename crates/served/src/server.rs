@@ -1157,7 +1157,7 @@ fn describe_metrics() {
     reg.describe("served.uptime.seconds", "seconds since the server started");
     reg.describe(
         "served.popcache.hit_ratio",
-        "population cache lifetime hit ratio",
+        "chip cache lifetime hit ratio over chip lookups",
     );
     reg.describe(
         "served.alerts.firing",
@@ -1503,7 +1503,7 @@ fn healthz(shared: &Shared) -> Response {
         (
             "caches",
             json::Json::obj(vec![
-                ("populations", json::Json::Num(popcache::len() as f64)),
+                ("chips", json::Json::Num(popcache::len() as f64)),
                 (
                     "variation_samplers",
                     json::Json::Num(accordion_varius::vmap::sampler_cache_len() as f64),

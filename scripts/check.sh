@@ -76,6 +76,11 @@ if [ "$fast" -eq 0 ]; then
     curl -sf -X POST "http://127.0.0.1:$serve_port/v1/simulate" \
         -d '{"app":"hotspot","topo":"small","chips":2}' \
         | grep -q '"f_run_ghz"'
+    # The one-chip path: the last chip of the largest population, on
+    # the paper topology, fabricated alone.
+    curl -sf -X POST "http://127.0.0.1:$serve_port/v1/simulate" \
+        -d '{"app":"hotspot","topo":"default","chips":100,"chip":99}' \
+        | grep -q '"f_run_ghz"'
 
     # Optimizer e2e: a small fixed-seed search through the live server
     # must come back with a non-empty Pareto front and the winning

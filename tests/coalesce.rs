@@ -2,10 +2,10 @@
 //! memo (`served.response_memo`): 32 concurrent identical
 //! `/v1/simulate` requests must return byte-identical bodies funded by
 //! a SINGLE underlying evaluation, proven by the engine's own counters
-//! — one `served.engine.simulations` tick, one population-cache miss,
-//! and 31 `served.coalesced` ticks. Distinct seeds must NOT coalesce.
+//! — one `served.engine.simulations` tick, one chip-cache miss, and
+//! 31 `served.coalesced` ticks. Distinct seeds must NOT coalesce.
 //! Identical repeats of `/v1/sweep` and `/v1/optimize` replay the memo
-//! the same way.
+//! the same way, and a cold query fabricates only the chip it reads.
 //!
 //! This file is deliberately its own integration-test binary: the
 //! counters it asserts on (telemetry registry, popcache stats) are
@@ -50,8 +50,8 @@ fn counter(name: &'static str) -> u64 {
 
 #[test]
 fn identical_concurrent_simulates_coalesce_to_one_evaluation() {
-    // pop_seed 9400 is unique to this binary, so the population miss
-    // below is attributable to exactly this burst.
+    // pop_seeds 9400 and 9401 are unique to this binary, so each chip
+    // miss below is attributable to exactly one request or burst.
     let sim = r#"{"app": "hotspot", "topo": "small", "chips": 2, "pop_seed": 9400, "seed": 5}"#;
     let handle = start(ServeConfig {
         addr: "127.0.0.1:0".into(),
@@ -95,7 +95,7 @@ fn identical_concurrent_simulates_coalesce_to_one_evaluation() {
     assert_eq!(
         misses_after - misses_before,
         1,
-        "population must be fabricated once"
+        "the chip must be fabricated once"
     );
     assert_eq!(coalesced, 31, "the other 31 must be answered by coalescing");
 
@@ -193,6 +193,23 @@ fn identical_concurrent_simulates_coalesce_to_one_evaluation() {
             "{path}: a repeat is one coalesced answer"
         );
     }
+
+    // Chip 99 of a 100-chip population on a fresh seed is one chip
+    // fabrication, not 100.
+    let (_, misses_before) = accordion_chip::popcache::stats();
+    let cold = post(
+        addr,
+        "/v1/simulate",
+        r#"{"app": "hotspot", "topo": "small", "chips": 100, "chip": 99, "pop_seed": 9401}"#,
+    );
+    assert!(cold.starts_with("HTTP/1.1 200"), "{cold}");
+    assert!(body_of(&cold).contains("\"f_run_ghz\""), "{cold}");
+    let (_, misses_after) = accordion_chip::popcache::stats();
+    assert_eq!(
+        misses_after - misses_before,
+        1,
+        "a cold query must fabricate only the chip it reads"
+    );
 
     handle.shutdown();
 }

@@ -4,7 +4,7 @@
 //! per-request span trees in the flight recorder.
 //!
 //! Tests serialize on one mutex: they share the process-global
-//! telemetry registry, population cache and flight recorder, and two
+//! telemetry registry, chip cache and flight recorder, and two
 //! concurrently-running servers would interleave their effects.
 
 use accordion_served::{start, ServeConfig};
@@ -59,10 +59,9 @@ fn small_sim(seed: u64) -> String {
 const SWEEP: &str = r#"{"app": "hotspot", "topo": "small", "chips": 2, "pop_seed": 8211,
                         "vdd_mv": [550, 600], "size": [0.5, 1.0]}"#;
 
-/// Pre-fabricates the population every request below uses, so the
-/// first server to run does not log a one-off `"cache":"miss"` the
-/// second server cannot reproduce (the population cache is
-/// process-global).
+/// Pre-fabricates the chips every request below uses, so the first
+/// server to run does not log a one-off `"cache":"miss"` the second
+/// server cannot reproduce (the chip cache is process-global).
 fn warm_popcache() {
     accordion_chip::popcache::population(accordion_chip::topology::Topology::small(), 8211, 2)
         .expect("warm population");
@@ -193,6 +192,7 @@ fn healthz_reports_queue_and_drain_state() {
         r#""shed":0"#,
         r#""uptime_seconds":"#,
         r#""queue_capacity":128"#,
+        r#""chips":"#,
     ] {
         assert!(body.contains(needle), "{needle} missing from {body}");
     }
