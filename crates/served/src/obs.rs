@@ -91,20 +91,20 @@ pub fn current_id() -> u64 {
     CTX.with(|c| c.borrow().as_ref().map_or(0, |ctx| ctx.id))
 }
 
-/// Everything one access-log line reports. Timing fields are skipped
+/// Everything one access-log line reports; the `outcome` field is
+/// derived from the status ([`outcome_of`]). Timing fields are skipped
 /// when the log was opened with `log_timing: false`.
 #[derive(Debug, Clone)]
-pub struct AccessRecord {
+pub struct AccessRecord<'a> {
     /// Accept-order request id.
     pub id: u64,
-    /// Request method, `"-"` when the request was never parsed (shed).
-    pub method: String,
-    /// Request path, `"-"` when never parsed.
-    pub path: String,
+    /// Request method, `"-"` when the reactor answered (framing
+    /// error, timeout, shed).
+    pub method: &'a str,
+    /// Request path, `"-"` when the reactor answered.
+    pub path: &'a str,
     /// HTTP status answered.
     pub status: u16,
-    /// Outcome class: `ok|shed|timeout|too_large|error`.
-    pub outcome: &'static str,
     /// Logical handler name, `"-"` when no route ran.
     pub handler: &'static str,
     /// Chip-cache outcome: `hit`, `miss`, or `-`.
@@ -157,28 +157,23 @@ impl AccessLog {
     /// `"type":"alert"` field (request lines lead with `"id"`), so a
     /// log consumer can split the two streams with one key probe.
     pub fn write_alert(&self, name: &str, from: &str, to: &str, at_ms: u64) {
-        let line = Json::obj(vec![
+        self.append(Json::obj(vec![
             ("type", Json::str("alert")),
             ("alert", Json::str(name)),
             ("from", Json::str(from)),
             ("to", Json::str(to)),
             ("at_ms", Json::Num(at_ms as f64)),
-        ])
-        .render();
-        let mut out = self.out.lock().expect("access log lock");
-        let _ = out.write_all(line.as_bytes());
-        let _ = out.write_all(b"\n");
-        let _ = out.flush();
+        ]));
     }
 
     /// Appends one record as a single JSON line.
     pub fn write(&self, rec: &AccessRecord) {
         let mut fields = vec![
             ("id", Json::Num(rec.id as f64)),
-            ("method", Json::str(&rec.method)),
-            ("path", Json::str(&rec.path)),
+            ("method", Json::str(rec.method)),
+            ("path", Json::str(rec.path)),
             ("status", Json::Num(f64::from(rec.status))),
-            ("outcome", Json::str(rec.outcome)),
+            ("outcome", Json::str(outcome_of(rec.status))),
             ("handler", Json::str(rec.handler)),
             ("cache", Json::str(rec.cache)),
             ("bytes", Json::Num(rec.bytes as f64)),
@@ -187,7 +182,12 @@ impl AccessLog {
             fields.push(("queue_us", Json::Num(rec.queue_us as f64)));
             fields.push(("latency_us", Json::Num(rec.latency_us as f64)));
         }
-        let line = Json::obj(fields).render();
+        self.append(Json::obj(fields));
+    }
+
+    /// Writes one JSON object as a line and flushes it.
+    fn append(&self, line: Json) {
+        let line = line.render();
         let mut out = self.out.lock().expect("access log lock");
         let _ = out.write_all(line.as_bytes());
         let _ = out.write_all(b"\n");
@@ -241,10 +241,9 @@ mod tests {
         let log = AccessLog::create(path.to_str().unwrap(), false).unwrap();
         log.write(&AccessRecord {
             id: 1,
-            method: "POST".into(),
-            path: "/v1/simulate".into(),
+            method: "POST",
+            path: "/v1/simulate",
             status: 200,
-            outcome: "ok",
             handler: "simulate",
             cache: "hit",
             bytes: 42,

@@ -32,7 +32,7 @@ use accordion_chip::popcache;
 use accordion_pool::Memo;
 use accordion_telemetry::alerts::{self, AlertSet};
 use accordion_telemetry::event::SimEvent;
-use accordion_telemetry::registry::exponential_bounds;
+use accordion_telemetry::registry::{exponential_bounds, Counter};
 use accordion_telemetry::rolling::RollingHistogram;
 use accordion_telemetry::tsdb::Tsdb;
 use accordion_telemetry::{counter, flight, flight_track, histogram, json, prom, sink};
@@ -42,7 +42,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -182,7 +182,7 @@ struct Shared {
     next_id: AtomicU64,
     /// Requests currently inside a worker.
     in_flight: AtomicU64,
-    /// Requests fully answered (including error responses).
+    /// Requests fully answered (including error responses and sheds).
     handled: AtomicU64,
     /// Requests shed with `503` at the queue.
     shed: AtomicU64,
@@ -198,6 +198,17 @@ struct Shared {
     tsdb: Arc<Tsdb>,
     /// Alert rules + evaluation state behind `/v1/alerts`.
     alerts: Mutex<AlertSet>,
+    /// Metric handles of every outcome class.
+    outcomes: [OutcomeMetrics; 5],
+}
+
+/// One outcome class's metric handles, resolved once per server.
+struct OutcomeMetrics {
+    outcome: &'static str,
+    latency: &'static RollingHistogram,
+    /// Registered by the class's first request, so `/metrics` lists
+    /// only the classes that occurred.
+    requests: OnceLock<&'static Counter>,
 }
 
 /// Entries of `served.response_memo`, shared by every POST route.
@@ -326,9 +337,18 @@ impl ServerHandle {
 ///
 /// # Errors
 ///
-/// Propagates the bind failure (address in use, permission) or waker
-/// creation failure.
+/// Rejects a `latency_window_s` that is not finite and positive with
+/// [`std::io::ErrorKind::InvalidInput`] before registering anything,
+/// and propagates the bind failure (address in use, permission), waker
+/// creation failure, and access-log or alert-rule file errors.
 pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
+    let window = cfg.latency_window_s;
+    if !(window.is_finite() && window > 0.0) {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("latency_window_s must be finite and positive, got {window}"),
+        ));
+    }
     let listener = TcpListener::bind(&cfg.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
@@ -353,14 +373,16 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     // First creation fixes a rolling histogram's window (the registry
     // ignores the spec on later lookups), so claim every outcome class
     // at the configured window before any request records into them.
-    for outcome in ["ok", "timeout", "too_large", "shed", "error"] {
-        accordion_telemetry::registry::global().rolling_histogram(
+    let outcomes = ["ok", "timeout", "too_large", "shed", "error"].map(|outcome| OutcomeMetrics {
+        outcome,
+        latency: accordion_telemetry::registry::global().rolling_histogram(
             "served.http.request_latency_us",
             &[("outcome", outcome)],
             &latency_bounds(),
-            cfg.latency_window_s,
-        );
-    }
+            window,
+        ),
+        requests: OnceLock::new(),
+    });
     let shared = Arc::new(Shared {
         cfg,
         jobs: Mutex::new(VecDeque::new()),
@@ -377,6 +399,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         responses: Memo::new("served.response_memo", RESPONSE_MEMO_CAPACITY),
         tsdb: Arc::new(Tsdb::new()),
         alerts: Mutex::new(AlertSet::new(rules)),
+        outcomes,
     });
 
     let reactor = {
@@ -799,31 +822,13 @@ fn dispatch(
     shared.shed.fetch_add(1, Ordering::Relaxed);
     let resp = Response::error(503, "server saturated; retry shortly")
         .with_header("Retry-After", "1".to_string());
-    let us = now.elapsed().as_micros() as f64;
-    request_hist("shed").record_with_exemplar(us, &exemplar_labels(id));
-    outcome_counter("shed").inc();
-    if let Some(log) = &shared.log {
-        log.write(&AccessRecord {
-            id,
-            method: "-".into(),
-            path: "-".into(),
-            status: 503,
-            outcome: "shed",
-            handler: "-",
-            cache: "-",
-            bytes: resp.body.len() as u64,
-            queue_us: 0,
-            latency_us: us as u64,
-        });
-    }
-    conn.ready.insert(seq, resp.encode(false));
+    answer_reactor_side(shared, conn, seq, id, resp, parse_us);
     conn.close_at = Some(seq);
 }
 
 /// Answers a request the reactor resolves itself (framing errors,
-/// `408` evictions): full accounting — counters, outcome histogram,
-/// flight span, access log — so these are first-class requests, not
-/// holes in the telemetry.
+/// `408` evictions, `503` sheds) under its own flight track, so these
+/// are first-class requests, not holes in the telemetry.
 fn answer_reactor_side(
     shared: &Shared,
     conn: &mut Conn,
@@ -832,40 +837,69 @@ fn answer_reactor_side(
     resp: Response,
     parse_us: u64,
 ) {
-    counter!("served.http.requests").inc();
     let _track = flight_track!("req{:08}", id);
     accordion_telemetry::event::advance_sim(parse_us);
     flight!(SimEvent::ServeStage {
         stage: "serve.parse",
         us: parse_us,
     });
-    let status = resp.status;
-    let bytes = resp.body.len() as u64;
-    let outcome = obs::outcome_of(status);
-    count_response(status);
-    request_hist(outcome).record_with_exemplar(parse_us as f64, &exemplar_labels(id));
-    outcome_counter(outcome).inc();
-    flight!(SimEvent::RequestRetire {
-        status: u64::from(status),
-        bytes,
-        us: parse_us,
-    });
-    if let Some(log) = &shared.log {
-        log.write(&AccessRecord {
+    account(
+        shared,
+        &AccessRecord {
             id,
-            method: "-".into(),
-            path: "-".into(),
-            status,
-            outcome,
+            method: "-",
+            path: "-",
+            status: resp.status,
             handler: "-",
             cache: "-",
-            bytes,
+            bytes: resp.body.len() as u64,
             queue_us: 0,
             latency_us: parse_us,
-        });
+        },
+    );
+    conn.ready.insert(seq, resp.encode(false));
+}
+
+/// Accounts one answered request — a worker's, a reactor-side error
+/// or a shed — exactly once: request and response-class counters,
+/// lifetime and per-outcome latency histograms, the per-outcome
+/// counter, the `serve.request` flight event (on the caller's track)
+/// and the access-log line.
+fn account(shared: &Shared, rec: &AccessRecord) {
+    counter!("served.http.requests").inc();
+    match rec.status {
+        200..=299 => counter!("served.http.responses.2xx"),
+        400..=499 => counter!("served.http.responses.4xx"),
+        _ => counter!("served.http.responses.5xx"),
+    }
+    .inc();
+    let us = rec.latency_us as f64;
+    histogram!("served.http.latency_us", latency_bounds()).record(us);
+    let outcome = obs::outcome_of(rec.status);
+    let class = shared
+        .outcomes
+        .iter()
+        .find(|c| c.outcome == outcome)
+        .expect("start registers every class outcome_of names");
+    class
+        .latency
+        .record_with_exemplar(us, &exemplar_labels(rec.id));
+    class
+        .requests
+        .get_or_init(|| {
+            accordion_telemetry::registry::global()
+                .labeled_counter("served.http.requests_by_outcome", &[("outcome", outcome)])
+        })
+        .inc();
+    flight!(SimEvent::RequestRetire {
+        status: u64::from(rec.status),
+        bytes: rec.bytes,
+        us: rec.latency_us,
+    });
+    if let Some(log) = &shared.log {
+        log.write(rec);
     }
     shared.handled.fetch_add(1, Ordering::Relaxed);
-    conn.ready.insert(seq, resp.encode(false));
 }
 
 // ---------------------------------------------------------------------------
@@ -916,7 +950,6 @@ fn worker_loop(shared: &Arc<Shared>) {
 fn handle_job(shared: &Shared, job: Job) -> Vec<u8> {
     let queue_us = job.queued.elapsed().as_micros() as u64;
     let started = Instant::now();
-    counter!("served.http.requests").inc();
     shared.in_flight.fetch_add(1, Ordering::Relaxed);
     // Request id → thread-local context, pool task tag, and flight
     // track: every downstream layer can name this request without a
@@ -924,11 +957,7 @@ fn handle_job(shared: &Shared, job: Job) -> Vec<u8> {
     obs::begin_request(job.id);
     accordion_pool::set_task_tag(job.id);
     let _track = flight_track!("req{:08}", job.id);
-    histogram!(
-        "served.http.queue_wait_us",
-        exponential_bounds(1.0, 2.0, 24)
-    )
-    .record(queue_us as f64);
+    histogram!("served.http.queue_wait_us", latency_bounds()).record(queue_us as f64);
     accordion_telemetry::event::advance_sim(job.parse_us);
     flight!(SimEvent::ServeStage {
         stage: "serve.parse",
@@ -957,7 +986,6 @@ fn handle_job(shared: &Shared, job: Job) -> Vec<u8> {
     let encode_started = Instant::now();
     let (status, body_bytes, wire) = match routed {
         Routed::Plain(resp) => {
-            count_response(resp.status);
             let wire = resp.encode(job.keep_alive);
             (resp.status, resp.body.len() as u64, wire)
         }
@@ -972,25 +1000,15 @@ fn handle_job(shared: &Shared, job: Job) -> Vec<u8> {
         us: encode_us,
     });
 
-    let us = job.parse_us + started.elapsed().as_micros() as u64;
-    let outcome = obs::outcome_of(status);
-    histogram!("served.http.latency_us", exponential_bounds(1.0, 2.0, 24)).record(us as f64);
-    request_hist(outcome).record_with_exemplar(us as f64, &exemplar_labels(job.id));
-    outcome_counter(outcome).inc();
-    flight!(SimEvent::RequestRetire {
-        status: u64::from(status),
-        bytes: body_bytes,
-        us,
-    });
     accordion_pool::set_task_tag(0);
     let ctx = obs::end_request().unwrap_or_default();
-    if let Some(log) = &shared.log {
-        log.write(&AccessRecord {
+    account(
+        shared,
+        &AccessRecord {
             id: job.id,
-            method: req.method.clone(),
-            path: req.path.clone(),
+            method: &req.method,
+            path: &req.path,
             status,
-            outcome,
             handler: ctx.handler,
             cache: match ctx.cache_hit {
                 Some(true) => "hit",
@@ -999,10 +1017,9 @@ fn handle_job(shared: &Shared, job: Job) -> Vec<u8> {
             },
             bytes: body_bytes,
             queue_us,
-            latency_us: us,
-        });
-    }
-    shared.handled.fetch_add(1, Ordering::Relaxed);
+            latency_us: job.parse_us + started.elapsed().as_micros() as u64,
+        },
+    );
     shared.in_flight.fetch_sub(1, Ordering::Relaxed);
     wire
 }
@@ -1017,7 +1034,6 @@ fn render_artifact(
     counter!("served.artifacts.requests").inc();
     match catch_unwind(AssertUnwindSafe(|| (source.generate)(id, chips))) {
         Ok(Some(text)) => {
-            counter!("served.http.responses.2xx").inc();
             let mut enc = http::ChunkedEncoder::new("text/plain; charset=utf-8", keep_alive);
             enc.chunk(text.as_bytes());
             (200, text.len() as u64, enc.finish())
@@ -1025,14 +1041,12 @@ fn render_artifact(
         Ok(None) => {
             // Validated before routing here; a miss now means the
             // registry changed under us.
-            counter!("served.http.responses.5xx").inc();
             let resp = Response::error(500, "artifact registry changed underfoot");
             let bytes = resp.body.len() as u64;
             (500, bytes, resp.encode(keep_alive))
         }
         Err(_) => {
             counter!("served.http.panics").inc();
-            counter!("served.http.responses.5xx").inc();
             let resp = Response::error(500, "artifact generation panicked");
             let bytes = resp.body.len() as u64;
             (500, bytes, resp.encode(keep_alive))
@@ -1108,24 +1122,6 @@ fn exemplar_labels(id: u64) -> String {
     format!("request_id=\"{id}\",track=\"req{id:08}\"")
 }
 
-/// The rolling request-latency histogram for one outcome class
-/// (60-second SLO window; `/metrics` renders all outcomes as one
-/// labeled histogram family).
-fn request_hist(outcome: &'static str) -> &'static RollingHistogram {
-    accordion_telemetry::registry::global().rolling_histogram(
-        "served.http.request_latency_us",
-        &[("outcome", outcome)],
-        &latency_bounds(),
-        60.0,
-    )
-}
-
-/// Lifetime request counter per outcome class.
-fn outcome_counter(outcome: &'static str) -> &'static accordion_telemetry::registry::Counter {
-    accordion_telemetry::registry::global()
-        .labeled_counter("served.http.requests_by_outcome", &[("outcome", outcome)])
-}
-
 /// Registers `# HELP` texts and the constant build-info sample.
 /// Idempotent; called from [`start`].
 fn describe_metrics() {
@@ -1138,7 +1134,10 @@ fn describe_metrics() {
         "served.http.requests_by_outcome",
         "requests answered, by outcome class",
     );
-    reg.describe("served.http.requests", "requests handled");
+    reg.describe(
+        "served.http.requests",
+        "requests answered, sheds and reactor-side errors included",
+    );
     reg.describe("served.http.connections", "TCP connections accepted");
     reg.describe(
         "served.http.latency_us",
@@ -1239,17 +1238,6 @@ fn describe_metrics() {
         ],
     )
     .set(1.0);
-}
-
-// Not `counter!`: that macro caches the handle per call site, which
-// would pin whichever class fired first. Resolve by name each time.
-fn count_response(status: u16) {
-    let name = match status {
-        200..=299 => "served.http.responses.2xx",
-        400..=499 => "served.http.responses.4xx",
-        _ => "served.http.responses.5xx",
-    };
-    accordion_telemetry::registry::global().counter(name).inc();
 }
 
 // ---------------------------------------------------------------------------
@@ -1735,6 +1723,15 @@ mod tests {
         let bad = get(addr, "/v1/timeseries?metric=x&range=zero");
         assert!(bad.starts_with("HTTP/1.1 400"), "{bad}");
 
+        // A range whose milliseconds overflow `u64` is answered by the
+        // coarsest tier, not a panic.
+        let longest = get(
+            addr,
+            "/v1/timeseries?metric=served_queue_depth&range=18446744073709552",
+        );
+        assert!(longest.starts_with("HTTP/1.1 200"), "{longest}");
+        assert!(longest.contains("\"tier_secs\":60"), "{longest}");
+
         let alerts = get(addr, "/v1/alerts");
         assert!(alerts.starts_with("HTTP/1.1 200"), "{alerts}");
         assert!(alerts.contains("\"name\":\"queue_deep\""), "{alerts}");
@@ -1767,6 +1764,35 @@ mod tests {
             Err(err) => assert_eq!(err.kind(), std::io::ErrorKind::InvalidData),
         }
         let _ = std::fs::remove_file(&rules);
+    }
+
+    #[test]
+    fn bad_latency_windows_fail_start() {
+        for window in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            match start(ServeConfig {
+                addr: "127.0.0.1:0".into(),
+                latency_window_s: window,
+                ..ServeConfig::default()
+            }) {
+                Ok(handle) => {
+                    handle.shutdown();
+                    panic!("latency_window_s {window} must be rejected");
+                }
+                Err(err) => assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput),
+            }
+        }
+        // Nothing was registered under the bad windows, and the
+        // registry still answers.
+        let text = prom::render(accordion_telemetry::registry::global());
+        assert!(!text.contains("rolling 0s window"), "{text}");
+        let handle = start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            handler_threads: 1,
+            ..ServeConfig::default()
+        })
+        .expect("a good window starts");
+        assert!(get(handle.addr(), "/metrics").starts_with("HTTP/1.1 200"));
+        handle.shutdown();
     }
 
     #[test]

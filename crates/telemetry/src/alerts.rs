@@ -480,7 +480,11 @@ fn build_rule(start: usize, kvs: Vec<(usize, String, Value)>) -> Result<AlertRul
     };
     let num_of = |key: &str, errors: &mut Vec<String>| -> Option<f64> {
         match map.get(key) {
-            Some((_, Value::Num(n))) => Some(*n),
+            Some((_, Value::Num(n))) if n.is_finite() => Some(*n),
+            Some((ln, Value::Num(n))) => {
+                errors.push(format!("line {ln}: {key} must be finite, got {n}"));
+                None
+            }
             Some((ln, Value::Str(_))) => {
                 errors.push(format!("line {ln}: {key} must be a number"));
                 None

@@ -6,7 +6,7 @@
 //! * a global, thread-safe **metrics registry** ([`registry`]) of
 //!   counters, gauges and fixed-bucket histograms, addressed by dotted
 //!   names and cached per call-site by the [`counter!`] / [`gauge!`] /
-//!   [`histogram!`] macros;
+//!   [`histogram!`] / [`span!`] macros;
 //! * lightweight **spans** ([`mod@span`]) — RAII wall-clock timers with
 //!   nesting, created by [`span!`], feeding per-span accounting and
 //!   the sink layer;
@@ -94,11 +94,18 @@ macro_rules! histogram {
 }
 
 /// Times the enclosing scope: `let _span = span!("layer.what");`.
+/// The name is a literal because the stats handle is cached per
+/// call-site; a name built at run time goes through
+/// [`span::SpanGuard::enter`].
 #[macro_export]
 macro_rules! span {
-    ($name:expr) => {
-        $crate::span::SpanGuard::enter($name)
-    };
+    ($name:literal) => {{
+        static __CACHE: ::std::sync::OnceLock<&'static $crate::registry::SpanStats> =
+            ::std::sync::OnceLock::new();
+        $crate::span::SpanGuard::start(|| {
+            *__CACHE.get_or_init(|| $crate::registry::global().span_stats($name))
+        })
+    }};
 }
 
 /// Emits a structured point event when any sink listens at `$level`:

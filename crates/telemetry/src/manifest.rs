@@ -3,17 +3,20 @@
 //! A [`RunManifest`] collects everything needed to re-run and audit
 //! one invocation of a binary — RNG seeds, population parameters,
 //! per-artifact wall times, a git-describe-style version string, and
-//! a final dump of every registry metric — and writes it as a single
-//! pretty-printed JSON document (`run_manifest.json` by convention).
+//! a final dump of every registry metric family (the same
+//! [`Registry::gather`](crate::registry::Registry::gather) walk that
+//! `/metrics` renders) — and writes it as a single pretty-printed JSON
+//! document (`run_manifest.json` by convention).
 
 use std::path::Path;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use crate::json::Json;
+use crate::prom::{rendered_name, Family, SampleValue};
 
 /// Schema identifier stamped into every manifest, bumped whenever the
 /// layout changes incompatibly.
-pub const MANIFEST_SCHEMA: &str = "accordion.run-manifest/1";
+pub const MANIFEST_SCHEMA: &str = "accordion.run-manifest/2";
 
 /// Accumulates provenance for one run.
 #[derive(Debug)]
@@ -82,8 +85,9 @@ impl RunManifest {
         self.extra.push((key.to_string(), value));
     }
 
-    /// Renders the manifest, appending the current global metrics
-    /// snapshot (the "final metric dump").
+    /// Renders the manifest, appending the global registry's metric
+    /// families as an object keyed by exposition name (the "final
+    /// metric dump").
     pub fn to_json(&self) -> Json {
         let artifacts = self
             .artifacts
@@ -137,7 +141,7 @@ impl RunManifest {
         }
         pairs.push((
             "metrics".to_string(),
-            crate::registry::global().snapshot_json(),
+            families_json(&crate::registry::global().gather()),
         ));
         Json::Obj(pairs)
     }
@@ -152,6 +156,44 @@ impl RunManifest {
         }
         std::fs::write(path, self.to_json().render_pretty())
     }
+}
+
+/// Gathered metric families as one JSON object keyed by exposition
+/// name (`pool_tasks_total`). Each family holds its `type`, `help` and
+/// `samples`, keyed by canonical label body (`""` when unlabelled): a
+/// counter or gauge value, or a histogram's `count`, `sum`, bucket
+/// `bounds` and per-bucket counts (the last one the overflow bucket).
+fn families_json(families: &[Family]) -> Json {
+    let nums = |xs: Vec<f64>| Json::Arr(xs.into_iter().map(Json::Num).collect());
+    let value = |v: &SampleValue| match v {
+        SampleValue::Scalar(x) => Json::Num(*x),
+        SampleValue::Hist(h) => Json::obj(vec![
+            ("count", Json::Num(h.count as f64)),
+            ("sum", Json::Num(h.sum)),
+            ("bounds", nums(h.bounds.clone())),
+            (
+                "buckets",
+                nums(h.buckets.iter().map(|&c| c as f64).collect()),
+            ),
+        ]),
+    };
+    let family = |fam: &Family| {
+        let samples = fam
+            .samples
+            .iter()
+            .map(|s| (s.labels.clone(), value(&s.value)));
+        Json::obj(vec![
+            ("type", Json::str(fam.kind.as_str())),
+            ("help", Json::str(&fam.help)),
+            ("samples", Json::Obj(samples.collect())),
+        ])
+    };
+    Json::Obj(
+        families
+            .iter()
+            .map(|f| (rendered_name(f), family(f)))
+            .collect(),
+    )
 }
 
 /// A git-describe-style version: the crate version plus, when a `.git`

@@ -36,7 +36,7 @@ pub enum Kind {
 }
 
 impl Kind {
-    fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Kind::Counter => "counter",
             Kind::Gauge => "gauge",

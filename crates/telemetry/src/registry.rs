@@ -4,14 +4,14 @@
 //! Handles are `&'static` references to leaked atomics, so the hot
 //! path — `counter!("x").inc()` — is a single relaxed `fetch_add`
 //! with no locking; the registry lock is only taken on first lookup
-//! per call-site (the `counter!`/`gauge!`/`histogram!` macros cache
-//! the handle in a `OnceLock`).
+//! per call-site (the `counter!`/`gauge!`/`histogram!`/`span!` macros
+//! cache the handle in a `OnceLock`).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-use crate::json::Json;
+use crate::prom::{flatten_name, Family, Kind, Sample, SampleValue};
 use crate::rolling::{RollingHistogram, DEFAULT_SLICES};
 
 /// A monotonically increasing counter.
@@ -200,15 +200,23 @@ fn atomic_f64_update(bits: &AtomicU64, f: impl Fn(f64) -> f64) {
     }
 }
 
-/// Wall-clock accounting for one span name.
+/// Wall-clock accounting for one span name. The stats carry their
+/// name, so a span site that caches its handle (the [`crate::span!`]
+/// macro does) reports to the sinks without a registry lookup.
 #[derive(Debug, Default)]
 pub struct SpanStats {
+    name: String,
     calls: AtomicU64,
     total_ns: AtomicU64,
     max_ns: AtomicU64,
 }
 
 impl SpanStats {
+    /// The dotted span name.
+    pub(crate) fn name(&self) -> &str {
+        &self.name
+    }
+
     /// Records one completed span.
     pub fn record_ns(&self, elapsed_ns: u64) {
         self.calls.fetch_add(1, Ordering::Relaxed);
@@ -287,20 +295,20 @@ fn label_key(labels: &[(&str, &str)]) -> String {
     out
 }
 
+/// Family name → canonical label body → handle. An unlabelled metric
+/// is the empty label body, which sorts (and renders) first in its
+/// family; spans and lifetime histograms have only that one.
+type Families<T> = BTreeMap<String, BTreeMap<String, &'static T>>;
+
 #[derive(Default)]
 struct State {
-    counters: BTreeMap<String, &'static Counter>,
-    gauges: BTreeMap<String, &'static Gauge>,
-    histograms: BTreeMap<String, &'static HistogramMetric>,
-    spans: BTreeMap<String, &'static SpanStats>,
+    counters: Families<Counter>,
+    gauges: Families<Gauge>,
+    histograms: Families<HistogramMetric>,
+    rolling: Families<RollingHistogram>,
+    spans: Families<SpanStats>,
     /// Family name → help text for the Prometheus exposition.
     help: BTreeMap<String, String>,
-    /// Family name → canonical label set → counter.
-    labeled_counters: BTreeMap<String, BTreeMap<String, &'static Counter>>,
-    /// Family name → canonical label set → gauge.
-    labeled_gauges: BTreeMap<String, BTreeMap<String, &'static Gauge>>,
-    /// Family name → canonical label set → rolling histogram.
-    rolling: BTreeMap<String, BTreeMap<String, &'static RollingHistogram>>,
 }
 
 /// The process-wide metric namespace.
@@ -317,50 +325,71 @@ pub fn global() -> &'static Registry {
 }
 
 impl Registry {
+    /// The registry state. Nothing panics while holding it (metric
+    /// constructors run outside it), and every mutation is a single
+    /// map insert, so a poisoned lock still guards a consistent state.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Finds or creates `family{labels}` in the map `kind` selects; the
+    /// same pair always returns the same handle. `make` runs without
+    /// the lock, so a constructor rejecting its arguments panics
+    /// without poisoning the registry.
+    fn lookup<T>(
+        &self,
+        kind: fn(&mut State) -> &mut Families<T>,
+        family: &str,
+        labels: &[(&str, &str)],
+        make: impl FnOnce() -> T,
+    ) -> &'static T {
+        let key = label_key(labels);
+        if let Some(found) = kind(&mut self.lock())
+            .get(family)
+            .and_then(|slot| slot.get(&key).copied())
+        {
+            return found;
+        }
+        let made = make();
+        let mut state = self.lock();
+        let slot = kind(&mut state).entry(family.to_string()).or_default();
+        slot.entry(key).or_insert_with(|| Box::leak(Box::new(made)))
+    }
+
     /// Finds or creates the counter `name`.
     pub fn counter(&self, name: &str) -> &'static Counter {
-        let mut state = self.state.lock().expect("registry lock");
-        if let Some(c) = state.counters.get(name) {
-            return c;
-        }
-        let leaked: &'static Counter = Box::leak(Box::default());
-        state.counters.insert(name.to_string(), leaked);
-        leaked
+        self.labeled_counter(name, &[])
     }
 
     /// Finds or creates the gauge `name`.
     pub fn gauge(&self, name: &str) -> &'static Gauge {
-        let mut state = self.state.lock().expect("registry lock");
-        if let Some(g) = state.gauges.get(name) {
-            return g;
-        }
-        let leaked: &'static Gauge = Box::leak(Box::default());
-        state.gauges.insert(name.to_string(), leaked);
-        leaked
+        self.labeled_gauge(name, &[])
     }
 
     /// Finds or creates the histogram `name`. The first registration
-    /// fixes the bucket bounds; later callers receive the existing
-    /// histogram regardless of the bounds they pass.
+    /// fixes the bucket bounds (rejecting bad ones as
+    /// [`HistogramMetric::new`] does); later callers receive the
+    /// existing histogram regardless of the bounds they pass.
     pub fn histogram(&self, name: &str, bounds: &[f64]) -> &'static HistogramMetric {
-        let mut state = self.state.lock().expect("registry lock");
-        if let Some(h) = state.histograms.get(name) {
-            return h;
-        }
-        let leaked: &'static HistogramMetric = Box::leak(Box::new(HistogramMetric::new(bounds)));
-        state.histograms.insert(name.to_string(), leaked);
-        leaked
+        self.lookup(
+            |s| &mut s.histograms,
+            name,
+            &[],
+            || HistogramMetric::new(bounds),
+        )
     }
 
     /// Finds or creates span accounting for `name`.
     pub fn span_stats(&self, name: &str) -> &'static SpanStats {
-        let mut state = self.state.lock().expect("registry lock");
-        if let Some(s) = state.spans.get(name) {
-            return s;
-        }
-        let leaked: &'static SpanStats = Box::leak(Box::default());
-        state.spans.insert(name.to_string(), leaked);
-        leaked
+        self.lookup(
+            |s| &mut s.spans,
+            name,
+            &[],
+            || SpanStats {
+                name: name.to_string(),
+                ..SpanStats::default()
+            },
+        )
     }
 
     /// Registers (or replaces) the help text rendered as this
@@ -368,48 +397,27 @@ impl Registry {
     /// the dotted family name (`served.http.requests`), matching what
     /// the metric constructors take.
     pub fn describe(&self, name: &str, help: &str) {
-        let mut state = self.state.lock().expect("registry lock");
-        state.help.insert(name.to_string(), help.to_string());
+        self.lock().help.insert(name.to_string(), help.to_string());
     }
 
     /// Finds or creates the counter `family{labels}`. Counters of one
     /// family share a `# TYPE` line in the exposition and differ only
-    /// by label set; the same `(family, labels)` pair always returns
-    /// the same handle.
+    /// by label set; no labels is the plain [`counter`](Self::counter).
     pub fn labeled_counter(&self, family: &str, labels: &[(&str, &str)]) -> &'static Counter {
-        let key = label_key(labels);
-        let mut state = self.state.lock().expect("registry lock");
-        let slot = state
-            .labeled_counters
-            .entry(family.to_string())
-            .or_default();
-        if let Some(c) = slot.get(&key) {
-            return c;
-        }
-        let leaked: &'static Counter = Box::leak(Box::default());
-        slot.insert(key, leaked);
-        leaked
+        self.lookup(|s| &mut s.counters, family, labels, Counter::default)
     }
 
     /// Finds or creates the gauge `family{labels}`; see
     /// [`labeled_counter`](Self::labeled_counter).
     pub fn labeled_gauge(&self, family: &str, labels: &[(&str, &str)]) -> &'static Gauge {
-        let key = label_key(labels);
-        let mut state = self.state.lock().expect("registry lock");
-        let slot = state.labeled_gauges.entry(family.to_string()).or_default();
-        if let Some(g) = slot.get(&key) {
-            return g;
-        }
-        let leaked: &'static Gauge = Box::leak(Box::default());
-        slot.insert(key, leaked);
-        leaked
+        self.lookup(|s| &mut s.gauges, family, labels, Gauge::default)
     }
 
     /// Finds or creates the rolling histogram `family{labels}`. The
-    /// first registration of a family fixes the bucket bounds and
-    /// window; later callers receive the existing histogram regardless
-    /// of the spec they pass (same contract as
-    /// [`histogram`](Self::histogram)).
+    /// first registration of a `(family, labels)` pair fixes its bucket
+    /// bounds and window (rejecting bad ones as [`RollingHistogram::new`]
+    /// does); later callers receive the existing histogram regardless
+    /// of the spec they pass.
     pub fn rolling_histogram(
         &self,
         family: &str,
@@ -417,33 +425,25 @@ impl Registry {
         bounds: &[f64],
         window_secs: f64,
     ) -> &'static RollingHistogram {
-        let key = label_key(labels);
-        let mut state = self.state.lock().expect("registry lock");
-        let slot = state.rolling.entry(family.to_string()).or_default();
-        if let Some(h) = slot.get(&key) {
-            return h;
-        }
-        let leaked: &'static RollingHistogram = Box::leak(Box::new(RollingHistogram::new(
-            bounds,
-            window_secs,
-            DEFAULT_SLICES,
-        )));
-        slot.insert(key, leaked);
-        leaked
+        self.lookup(
+            |s| &mut s.rolling,
+            family,
+            labels,
+            || RollingHistogram::new(bounds, window_secs, DEFAULT_SLICES),
+        )
     }
 
     /// Gathers every registered metric into Prometheus metric
-    /// families for [`crate::prom::render`]. Dotted names are
-    /// flattened (`served.http.requests` → `served_http_requests`);
-    /// plain and labeled metrics of the same family merge into one
-    /// family (the unlabeled sample first); spans surface as two
-    /// counters, `<name>_calls_total` and `<name>_seconds_total`;
-    /// rolling histograms are merged over their current window.
-    /// Family help defaults to the dotted name when
+    /// families — the one walk behind `/metrics` ([`crate::prom`]),
+    /// the TSDB and the run manifest. Dotted names are flattened
+    /// (`served.http.requests` → `served_http_requests`); plain and
+    /// labelled metrics of one family share it (the unlabelled sample
+    /// first); spans surface as two counters, `<name>_calls_total` and
+    /// `<name>_seconds_total`; rolling histograms are merged over their
+    /// current window. Family help defaults to the dotted name when
     /// [`describe`](Self::describe) was never called.
-    pub fn gather(&self) -> Vec<crate::prom::Family> {
-        use crate::prom::{Family, Kind, Sample, SampleValue};
-        let state = self.state.lock().expect("registry lock");
+    pub fn gather(&self) -> Vec<Family> {
+        let state = self.lock();
         let help_of = |dotted: &str| {
             state
                 .help
@@ -451,211 +451,103 @@ impl Registry {
                 .cloned()
                 .unwrap_or_else(|| format!("accordion metric {dotted}"))
         };
-        let mut families: BTreeMap<String, Family> = BTreeMap::new();
-        let mut push = |name: String, help: String, kind: Kind, sample: Sample| {
-            families
-                .entry(name.clone())
-                .or_insert_with(|| Family {
-                    name,
-                    help,
-                    kind,
-                    samples: Vec::new(),
-                })
-                .samples
-                .push(sample);
-        };
-        for (k, c) in &state.counters {
-            push(
-                crate::prom::flatten_name(k),
-                help_of(k),
-                Kind::Counter,
-                Sample {
-                    labels: String::new(),
-                    value: SampleValue::Scalar(c.get() as f64),
-                    exemplars: Vec::new(),
-                },
+        let mut out: BTreeMap<String, Family> = BTreeMap::new();
+        for (k, slot) in &state.counters {
+            family(&mut out, flatten_name(k), || help_of(k), Kind::Counter).extend(
+                slot.iter()
+                    .map(|(labels, c)| scalar(labels, c.get() as f64)),
             );
         }
-        for (k, slot) in &state.labeled_counters {
-            for (labels, c) in slot {
-                push(
-                    crate::prom::flatten_name(k),
-                    help_of(k),
-                    Kind::Counter,
-                    Sample {
-                        labels: labels.clone(),
-                        value: SampleValue::Scalar(c.get() as f64),
-                        exemplars: Vec::new(),
-                    },
-                );
-            }
+        for (k, slot) in &state.gauges {
+            family(&mut out, flatten_name(k), || help_of(k), Kind::Gauge)
+                .extend(slot.iter().map(|(labels, g)| scalar(labels, g.get())));
         }
-        for (k, g) in &state.gauges {
-            push(
-                crate::prom::flatten_name(k),
-                help_of(k),
-                Kind::Gauge,
-                Sample {
-                    labels: String::new(),
-                    value: SampleValue::Scalar(g.get()),
-                    exemplars: Vec::new(),
-                },
-            );
-        }
-        for (k, slot) in &state.labeled_gauges {
-            for (labels, g) in slot {
-                push(
-                    crate::prom::flatten_name(k),
-                    help_of(k),
-                    Kind::Gauge,
-                    Sample {
-                        labels: labels.clone(),
-                        value: SampleValue::Scalar(g.get()),
-                        exemplars: Vec::new(),
-                    },
-                );
-            }
-        }
-        for (k, h) in &state.histograms {
-            push(
-                crate::prom::flatten_name(k),
-                help_of(k),
-                Kind::Histogram,
-                Sample {
-                    labels: String::new(),
+        for (k, slot) in &state.histograms {
+            family(&mut out, flatten_name(k), || help_of(k), Kind::Histogram).extend(
+                slot.iter().map(|(labels, h)| Sample {
+                    labels: labels.clone(),
                     value: SampleValue::Hist(h.snapshot()),
                     exemplars: Vec::new(),
-                },
+                }),
             );
         }
         for (k, slot) in &state.rolling {
             for (labels, h) in slot {
-                push(
-                    crate::prom::flatten_name(k),
-                    format!("{} (rolling {:.0}s window)", help_of(k), h.window_secs()),
-                    Kind::Histogram,
-                    Sample {
-                        labels: labels.clone(),
-                        value: SampleValue::Hist(h.window_snapshot()),
-                        exemplars: h.exemplars(),
-                    },
-                );
+                let help = || format!("{} (rolling {:.0}s window)", help_of(k), h.window_secs());
+                family(&mut out, flatten_name(k), help, Kind::Histogram).push(Sample {
+                    labels: labels.clone(),
+                    value: SampleValue::Hist(h.window_snapshot()),
+                    exemplars: h.exemplars(),
+                });
             }
         }
-        for (k, s) in &state.spans {
-            let flat = crate::prom::flatten_name(k);
-            push(
-                format!("{flat}_calls_total"),
-                format!("completed spans of {k}"),
-                Kind::Counter,
-                Sample {
-                    labels: String::new(),
-                    value: SampleValue::Scalar(s.calls() as f64),
-                    exemplars: Vec::new(),
-                },
-            );
-            push(
-                format!("{flat}_seconds_total"),
-                format!("wall-clock seconds inside {k}"),
-                Kind::Counter,
-                Sample {
-                    labels: String::new(),
-                    value: SampleValue::Scalar(s.total_ns() as f64 / 1e9),
-                    exemplars: Vec::new(),
-                },
-            );
+        for (k, slot) in &state.spans {
+            for s in slot.values() {
+                let flat = flatten_name(k);
+                for (series, help, v) in [
+                    ("calls", format!("completed spans of {k}"), s.calls() as f64),
+                    (
+                        "seconds",
+                        format!("wall-clock seconds inside {k}"),
+                        s.total_ns() as f64 / 1e9,
+                    ),
+                ] {
+                    family(
+                        &mut out,
+                        format!("{flat}_{series}_total"),
+                        || help,
+                        Kind::Counter,
+                    )
+                    .push(scalar("", v));
+                }
+            }
         }
-        families.into_values().collect()
+        out.into_values().collect()
     }
 
     /// Structured view of all span accounting, sorted by name. Feeds
-    /// the `repro profile` self/total time tree without going through
-    /// the JSON snapshot.
+    /// the `repro profile` self/total time tree.
     pub fn span_snapshot(&self) -> Vec<SpanSnapshot> {
-        let state = self.state.lock().expect("registry lock");
-        state
+        self.lock()
             .spans
-            .iter()
-            .map(|(k, s)| SpanSnapshot {
-                name: k.clone(),
+            .values()
+            .flat_map(BTreeMap::values)
+            .map(|s| SpanSnapshot {
+                name: s.name.clone(),
                 calls: s.calls(),
                 total_ns: s.total_ns(),
                 max_ns: s.max_ns(),
             })
             .collect()
     }
+}
 
-    /// Renders every metric to a JSON object:
-    ///
-    /// ```json
-    /// {
-    ///   "counters": {"sim.fault.infected": 12},
-    ///   "gauges": {"runtime.clusters": 9},
-    ///   "histograms": {"x": {"count": 3, "sum": 1.5, "min": ..., "p50": ...}},
-    ///   "spans": {"varius.population.generate": {"calls": 1, "total_ms": 12.3, ...}}
-    /// }
-    /// ```
-    pub fn snapshot_json(&self) -> Json {
-        let state = self.state.lock().expect("registry lock");
-        let counters = state
-            .counters
-            .iter()
-            .map(|(k, c)| (k.clone(), Json::Num(c.get() as f64)))
-            .collect();
-        let gauges = state
-            .gauges
-            .iter()
-            .map(|(k, g)| (k.clone(), Json::Num(g.get())))
-            .collect();
-        let histograms = state
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                let s = h.snapshot();
-                (
-                    k.clone(),
-                    Json::obj(vec![
-                        ("count", Json::Num(s.count as f64)),
-                        ("sum", Json::Num(s.sum)),
-                        ("min", s.min.map_or(Json::Null, Json::Num)),
-                        ("max", s.max.map_or(Json::Null, Json::Num)),
-                        ("mean", s.mean().map_or(Json::Null, Json::Num)),
-                        ("p50", s.percentile(0.50).map_or(Json::Null, Json::Num)),
-                        ("p95", s.percentile(0.95).map_or(Json::Null, Json::Num)),
-                        ("p99", s.percentile(0.99).map_or(Json::Null, Json::Num)),
-                    ]),
-                )
-            })
-            .collect();
-        let spans = state
-            .spans
-            .iter()
-            .map(|(k, s)| {
-                let calls = s.calls();
-                (
-                    k.clone(),
-                    Json::obj(vec![
-                        ("calls", Json::Num(calls as f64)),
-                        ("total_ms", Json::Num(s.total_ns() as f64 / 1e6)),
-                        (
-                            "mean_ms",
-                            if calls > 0 {
-                                Json::Num(s.total_ns() as f64 / calls as f64 / 1e6)
-                            } else {
-                                Json::Null
-                            },
-                        ),
-                        ("max_ms", Json::Num(s.max_ns() as f64 / 1e6)),
-                    ]),
-                )
-            })
-            .collect();
-        Json::Obj(vec![
-            ("counters".to_string(), Json::Obj(counters)),
-            ("gauges".to_string(), Json::Obj(gauges)),
-            ("histograms".to_string(), Json::Obj(histograms)),
-            ("spans".to_string(), Json::Obj(spans)),
-        ])
+/// The samples of the gathered family `name`, created with `help` and
+/// `kind` on first use. Registry names that flatten alike share one
+/// family.
+fn family(
+    out: &mut BTreeMap<String, Family>,
+    name: String,
+    help: impl FnOnce() -> String,
+    kind: Kind,
+) -> &mut Vec<Sample> {
+    &mut out
+        .entry(name.clone())
+        .or_insert_with(|| Family {
+            name,
+            help: help(),
+            kind,
+            samples: Vec::new(),
+        })
+        .samples
+}
+
+/// An unexemplared counter or gauge sample.
+fn scalar(labels: &str, v: f64) -> Sample {
+    Sample {
+        labels: labels.to_string(),
+        value: SampleValue::Scalar(v),
+        exemplars: Vec::new(),
     }
 }
 
@@ -759,5 +651,101 @@ mod tests {
         assert_eq!(s.calls(), 2);
         assert_eq!(s.total_ns(), 400);
         assert_eq!(s.max_ns(), 300);
+    }
+
+    #[test]
+    fn a_rejected_registration_leaves_the_registry_usable() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let reg = Registry {
+            state: Mutex::new(State::default()),
+        };
+        // Constructor assertions fire without the registry lock held,
+        // so neither rejection poisons it.
+        let zero_window = catch_unwind(AssertUnwindSafe(|| {
+            reg.rolling_histogram("reject.window", &[], &[1.0], 0.0)
+        }));
+        assert!(zero_window.is_err());
+        let bad_bounds = catch_unwind(AssertUnwindSafe(|| {
+            reg.histogram("reject.bounds", &[2.0, 1.0])
+        }));
+        assert!(bad_bounds.is_err());
+        reg.counter("reject.after").inc();
+        assert_eq!(reg.counter("reject.after").get(), 1);
+        reg.histogram("reject.bounds", &[1.0, 2.0]).record(1.5);
+        let text = crate::prom::render_families(&reg.gather());
+        assert!(!text.contains("reject_window"), "{text}");
+        assert!(text.contains("reject_bounds_count 1\n"), "{text}");
+        assert!(text.contains("reject_after_total 1\n"), "{text}");
+    }
+
+    /// The exposition bytes of a registry holding every metric shape:
+    /// plain and labelled samples of one family, histograms, a span
+    /// and help texts. Any change to how the registry stores or walks
+    /// its metrics must leave these bytes alone.
+    #[test]
+    fn exposition_bytes_are_pinned() {
+        let reg = Registry {
+            state: Mutex::new(State::default()),
+        };
+        reg.describe("pin.requests", "requests answered");
+        reg.labeled_counter("pin.requests", &[("outcome", "shed")])
+            .add(2);
+        reg.counter("pin.requests").add(3);
+        reg.labeled_counter("pin.requests", &[("outcome", "ok")])
+            .inc();
+        reg.counter("pin.errors").inc();
+        reg.gauge("pin.depth").set(2.5);
+        reg.labeled_gauge("pin.depth", &[("queue", "jobs"), ("kind", "a\"b")])
+            .set(-1.0);
+        reg.labeled_gauge("pin.info", &[("version", "1")]).set(1.0);
+        let h = reg.histogram("pin.latency_us", &[1.0, 10.0, 100.0]);
+        for v in [0.5, 5.0, 50.0, 500.0] {
+            h.record(v);
+        }
+        reg.describe("pin.window_us", "windowed latency");
+        reg.rolling_histogram("pin.window_us", &[("outcome", "ok")], &[1.0, 10.0], 60.0)
+            .record_with_exemplar(4.0, "request_id=\"7\"");
+        reg.span_stats("pin.span").record_ns(1_500_000_000);
+        assert_eq!(
+            crate::prom::render_families(&reg.gather()),
+            concat!(
+                "# HELP pin_depth accordion metric pin.depth\n",
+                "# TYPE pin_depth gauge\n",
+                "pin_depth 2.5\n",
+                "pin_depth{kind=\"a\\\"b\",queue=\"jobs\"} -1\n",
+                "# HELP pin_errors_total accordion metric pin.errors\n",
+                "# TYPE pin_errors_total counter\n",
+                "pin_errors_total 1\n",
+                "# HELP pin_info accordion metric pin.info\n",
+                "# TYPE pin_info gauge\n",
+                "pin_info{version=\"1\"} 1\n",
+                "# HELP pin_latency_us accordion metric pin.latency_us\n",
+                "# TYPE pin_latency_us histogram\n",
+                "pin_latency_us_bucket{le=\"1\"} 1\n",
+                "pin_latency_us_bucket{le=\"10\"} 2\n",
+                "pin_latency_us_bucket{le=\"100\"} 3\n",
+                "pin_latency_us_bucket{le=\"+Inf\"} 4\n",
+                "pin_latency_us_sum 555.5\n",
+                "pin_latency_us_count 4\n",
+                "# HELP pin_requests_total requests answered\n",
+                "# TYPE pin_requests_total counter\n",
+                "pin_requests_total 3\n",
+                "pin_requests_total{outcome=\"ok\"} 1\n",
+                "pin_requests_total{outcome=\"shed\"} 2\n",
+                "# HELP pin_span_calls_total completed spans of pin.span\n",
+                "# TYPE pin_span_calls_total counter\n",
+                "pin_span_calls_total 1\n",
+                "# HELP pin_span_seconds_total wall-clock seconds inside pin.span\n",
+                "# TYPE pin_span_seconds_total counter\n",
+                "pin_span_seconds_total 1.5\n",
+                "# HELP pin_window_us windowed latency (rolling 60s window)\n",
+                "# TYPE pin_window_us histogram\n",
+                "pin_window_us_bucket{outcome=\"ok\",le=\"1\"} 0\n",
+                "pin_window_us_bucket{outcome=\"ok\",le=\"10\"} 1 # {request_id=\"7\"} 4\n",
+                "pin_window_us_bucket{outcome=\"ok\",le=\"+Inf\"} 1\n",
+                "pin_window_us_sum{outcome=\"ok\"} 4\n",
+                "pin_window_us_count{outcome=\"ok\"} 1\n",
+            )
+        );
     }
 }

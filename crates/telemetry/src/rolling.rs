@@ -129,7 +129,7 @@ impl RollingHistogram {
 
     /// The window span in seconds (slice length × slice count).
     pub fn window_secs(&self) -> f64 {
-        (self.slice_ms * self.slices.len() as u64) as f64 / 1000.0
+        self.slice_ms.saturating_mul(self.slices.len() as u64) as f64 / 1000.0
     }
 
     /// Records one observation at the current wall clock.
@@ -190,7 +190,7 @@ impl RollingHistogram {
     /// [`exemplars`](Self::exemplars) with an injected clock: entries
     /// older than the window (or stamped in its future) are dropped.
     pub fn exemplars_at_ms(&self, now_ms: u64) -> Vec<Option<Exemplar>> {
-        let window_ms = self.slice_ms * self.slices.len() as u64;
+        let window_ms = self.slice_ms.saturating_mul(self.slices.len() as u64);
         let slots = self.exemplars.lock().expect("exemplar lock");
         slots
             .iter()
@@ -391,6 +391,17 @@ mod tests {
         // Past the window every exemplar ages out, matching the
         // histogram itself.
         assert!(h.exemplars_at_ms(9_000).iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn a_window_too_long_for_milliseconds_saturates() {
+        // 1e300 s slices saturate at `u64::MAX` ms; the window span
+        // must not overflow when the exposition reads it.
+        let h = RollingHistogram::new(&[1.0], 1e300, 4);
+        assert_eq!(h.window_secs(), u64::MAX as f64 / 1000.0);
+        h.record_with_exemplar_at_ms(0.5, 10, "request_id=\"1\"");
+        assert_eq!(h.window_snapshot_at_ms(20).count, 1);
+        assert!(h.exemplars_at_ms(20)[0].is_some());
     }
 
     #[test]

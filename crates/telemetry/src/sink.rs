@@ -235,19 +235,6 @@ pub fn install(level: Level, sink: Arc<dyn Sink>) {
     MAX_LEVEL.store(max, Ordering::Relaxed);
 }
 
-/// Removes every installed sink (flushing first) and drops the
-/// sink-installed bit. Span accounting requested via [`set_timing`]
-/// survives.
-pub fn clear() {
-    let mut sinks = SINKS.write().expect("sink lock");
-    for installed in sinks.iter() {
-        installed.sink.flush();
-    }
-    sinks.clear();
-    MAX_LEVEL.store(0, Ordering::Relaxed);
-    STATE.fetch_and(!SINK_BIT, Ordering::Relaxed);
-}
-
 /// Flushes every installed sink.
 pub fn flush() {
     for installed in SINKS.read().expect("sink lock").iter() {

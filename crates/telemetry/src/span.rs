@@ -9,6 +9,7 @@
 use std::cell::Cell;
 use std::time::Instant;
 
+use crate::registry::SpanStats;
 use crate::sink::{self, Event, EventKind, Level};
 
 thread_local! {
@@ -23,80 +24,79 @@ pub fn current_depth() -> usize {
 /// RAII timer for one scope; created by the [`crate::span!`] macro.
 #[must_use = "binding the guard to `_` drops it immediately; use `let _span = span!(..)`"]
 pub struct SpanGuard {
-    active: Option<ActiveSpan>,
-}
-
-struct ActiveSpan {
-    name: String,
-    start: Instant,
+    active: Option<(&'static SpanStats, Instant)>,
 }
 
 impl SpanGuard {
-    /// Enters a span named `name` if telemetry is active; otherwise
-    /// returns an inert guard without reading the clock.
-    pub fn enter(name: &str) -> SpanGuard {
+    /// Enters a span accounted in the stats `resolve` returns, if
+    /// telemetry is active; otherwise returns an inert guard without
+    /// resolving the stats or reading the clock. The [`crate::span!`]
+    /// macro resolves through a per-call-site cache, so a live span
+    /// neither allocates nor locks.
+    pub fn start(resolve: impl FnOnce() -> &'static SpanStats) -> SpanGuard {
         if !sink::active() {
             return SpanGuard { active: None };
         }
+        let stats = resolve();
         let depth = DEPTH.with(|d| {
             let depth = d.get();
             d.set(depth + 1);
             depth
         });
-        if sink::level_enabled(Level::Debug) {
-            let thread = std::thread::current();
-            sink::emit(&Event {
-                seq: sink::next_seq(),
-                kind: EventKind::SpanStart,
-                level: Level::Debug,
-                name,
-                depth,
-                elapsed_ns: None,
-                thread: thread.name().unwrap_or("?"),
-                fields: &[],
-            });
-        }
+        emit(EventKind::SpanStart, Level::Debug, stats, depth, None);
         SpanGuard {
-            active: Some(ActiveSpan {
-                name: name.to_string(),
-                start: Instant::now(),
-            }),
+            active: Some((stats, Instant::now())),
         }
+    }
+
+    /// Enters a span whose name is built at run time, looking its
+    /// stats up in the global registry by name.
+    pub fn enter(name: &str) -> SpanGuard {
+        Self::start(|| crate::registry::global().span_stats(name))
     }
 
     /// The span's name, when active.
     pub fn name(&self) -> Option<&str> {
-        self.active.as_ref().map(|a| a.name.as_str())
+        self.active.map(|(stats, _)| stats.name())
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(active) = self.active.take() else {
+        let Some((stats, start)) = self.active.take() else {
             return;
         };
-        let elapsed_ns = active.start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        let elapsed_ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         let depth = DEPTH.with(|d| {
             let depth = d.get().saturating_sub(1);
             d.set(depth);
             depth
         });
-        crate::registry::global()
-            .span_stats(&active.name)
-            .record_ns(elapsed_ns);
-        if sink::level_enabled(Level::Info) {
-            let thread = std::thread::current();
-            sink::emit(&Event {
-                seq: sink::next_seq(),
-                kind: EventKind::SpanEnd,
-                level: Level::Info,
-                name: &active.name,
-                depth,
-                elapsed_ns: Some(elapsed_ns),
-                thread: thread.name().unwrap_or("?"),
-                fields: &[],
-            });
-        }
+        stats.record_ns(elapsed_ns);
+        emit(
+            EventKind::SpanEnd,
+            Level::Info,
+            stats,
+            depth,
+            Some(elapsed_ns),
+        );
+    }
+}
+
+/// Reports a span boundary to the sinks listening at `level`.
+fn emit(kind: EventKind, level: Level, stats: &SpanStats, depth: usize, elapsed_ns: Option<u64>) {
+    if sink::level_enabled(level) {
+        let thread = std::thread::current();
+        sink::emit(&Event {
+            seq: sink::next_seq(),
+            kind,
+            level,
+            name: stats.name(),
+            depth,
+            elapsed_ns,
+            thread: thread.name().unwrap_or("?"),
+            fields: &[],
+        });
     }
 }
 

@@ -279,6 +279,8 @@ impl Tsdb {
 
     /// [`query`](Self::query) with an injected clock. Unknown metrics
     /// yield an empty point set (the id may simply not have data yet).
+    /// A range longer than any tier spans (up to `u64::MAX` seconds) is
+    /// answered by the coarsest tier.
     pub fn query_at_ms(&self, metric: &str, range_secs: u64, now_ms: u64) -> QueryResult {
         let state = self.state.lock().expect("tsdb lock");
         let tier_idx = TIER_SECS
@@ -288,7 +290,10 @@ impl Tsdb {
         let (tier_secs, points) = match state.series.get(metric) {
             Some(series) => {
                 let tier = &series.tiers[tier_idx];
-                (tier.secs, tier.collect(now_ms, range_secs * 1000))
+                (
+                    tier.secs,
+                    tier.collect(now_ms, range_secs.saturating_mul(1000)),
+                )
             }
             None => (TIER_SECS[tier_idx], Vec::new()),
         };

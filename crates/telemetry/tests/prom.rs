@@ -31,11 +31,17 @@ fn labeled_and_plain_samples_share_one_family_declaration() {
         .add(3);
     reg.labeled_counter("promtest.shared", &[("outcome", "shed")])
         .inc();
+    reg.counter("promtest.shared").add(5);
     let text = prom::render(reg);
     assert_eq!(
         text.matches("# TYPE promtest_shared_total counter").count(),
         1,
         "one TYPE line per family: {text}"
+    );
+    // The unlabelled sample renders first, right under the TYPE line.
+    assert!(
+        text.contains("# TYPE promtest_shared_total counter\npromtest_shared_total 5\n"),
+        "{text}"
     );
     assert!(text.contains("promtest_shared_total{outcome=\"ok\"} 3\n"));
     assert!(text.contains("promtest_shared_total{outcome=\"shed\"} 1\n"));

@@ -1,11 +1,14 @@
 //! Integration tests exercising the telemetry crate the way the
 //! simulation stack uses it: many threads hammering one counter,
-//! histogram percentiles at their edge cases, and the JSONL event
-//! stream round-tripping through the crate's own parser.
+//! histogram percentiles at their edge cases, the JSONL event stream
+//! and the manifest's metric dump round-tripping through the crate's
+//! own parser, and span sites shared across threads.
 
 use accordion_telemetry::json::{self, Json};
 use accordion_telemetry::registry::{global, HistogramMetric};
-use accordion_telemetry::sink::{Event, EventKind, FieldVal, Level};
+use accordion_telemetry::sink::{self, Event, EventKind, FieldVal, Level};
+use accordion_telemetry::span::SpanGuard;
+use accordion_telemetry::{span, RunManifest};
 use std::sync::Arc;
 use std::thread;
 
@@ -147,24 +150,86 @@ fn jsonl_event_line_round_trips_through_parser() {
 #[test]
 fn registry_snapshot_is_valid_json() {
     global().counter("itest.snapshot.counter").add(7);
+    global()
+        .labeled_counter("itest.snapshot.counter", &[("outcome", "shed")])
+        .add(2);
     global().gauge("itest.snapshot.gauge").set(-1.25);
     global()
         .histogram("itest.snapshot.hist", &[1.0, 10.0])
         .record(3.0);
-    let rendered = global().snapshot_json().render_pretty();
+    // The manifest's final metric dump is the registry's families,
+    // keyed by exposition name.
+    let rendered = RunManifest::new("itest").to_json().render_pretty();
     let parsed = json::parse(&rendered).expect("snapshot parses");
-    assert_eq!(
+    let family = |name: &str| {
         parsed
-            .get("counters")
-            .and_then(|c| c.get("itest.snapshot.counter"))
-            .and_then(Json::as_f64),
-        Some(7.0)
-    );
+            .get("metrics")
+            .and_then(|m| m.get(name))
+            .unwrap_or_else(|| panic!("{name} missing from {rendered}"))
+    };
+    // Samples are keyed by label body; the unlabelled one is "".
+    let sample = |name: &str, labels: &str| {
+        family(name)
+            .get("samples")
+            .and_then(|s| s.get(labels))
+            .cloned()
+            .unwrap_or_else(|| panic!("{name}{{{labels}}} missing from {rendered}"))
+    };
+
+    let counter = family("itest_snapshot_counter_total");
+    assert_eq!(counter.get("type").and_then(Json::as_str), Some("counter"));
     assert_eq!(
-        parsed
-            .get("gauges")
-            .and_then(|g| g.get("itest.snapshot.gauge"))
-            .and_then(Json::as_f64),
-        Some(-1.25)
+        counter.get("help").and_then(Json::as_str),
+        Some("accordion metric itest.snapshot.counter")
     );
+    assert_eq!(sample("itest_snapshot_counter_total", ""), Json::Num(7.0));
+    assert_eq!(
+        sample("itest_snapshot_counter_total", "outcome=\"shed\""),
+        Json::Num(2.0)
+    );
+    assert_eq!(sample("itest_snapshot_gauge", ""), Json::Num(-1.25));
+    let hist = sample("itest_snapshot_hist", "");
+    let nums = |xs: &[f64]| Some(Json::Arr(xs.iter().map(|&x| Json::Num(x)).collect()));
+    assert_eq!(hist.get("count").and_then(Json::as_f64), Some(1.0));
+    assert_eq!(hist.get("sum").and_then(Json::as_f64), Some(3.0));
+    assert_eq!(hist.get("bounds").cloned(), nums(&[1.0, 10.0]));
+    assert_eq!(hist.get("buckets").cloned(), nums(&[0.0, 1.0, 0.0]));
+}
+
+#[test]
+fn one_span_site_shares_its_stats_across_threads() {
+    const THREADS: usize = 4;
+    const PER_THREAD: u64 = 1_000;
+    fn site() {
+        let _span = span!("itest.span.site");
+    }
+    sink::set_timing(true);
+    let handles: Vec<_> = (0..THREADS)
+        .map(|_| {
+            thread::spawn(|| {
+                for _ in 0..PER_THREAD {
+                    site();
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().expect("span thread");
+    }
+    // Names built at run time still account per name.
+    for name in ["itest.span.dyn.a", "itest.span.dyn.b", "itest.span.dyn.a"] {
+        let _span = SpanGuard::enter(name);
+    }
+    sink::set_timing(false);
+    let snapshot = global().span_snapshot();
+    let calls = |name: &str| -> Vec<u64> {
+        snapshot
+            .iter()
+            .filter(|s| s.name == name)
+            .map(|s| s.calls)
+            .collect()
+    };
+    assert_eq!(calls("itest.span.site"), vec![THREADS as u64 * PER_THREAD]);
+    assert_eq!(calls("itest.span.dyn.a"), vec![2]);
+    assert_eq!(calls("itest.span.dyn.b"), vec![1]);
 }

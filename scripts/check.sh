@@ -57,6 +57,14 @@ if [ "$fast" -eq 0 ]; then
     cargo run --release -q -p accordion-bench --bin repro -- \
         validate-trace "$smoke_dir/trace.json"
 
+    # Manifest smoke: the run manifest dumps the registry's gathered
+    # families (the walk `/metrics` renders) under schema 2.
+    echo "==> repro tab1 --manifest smoke"
+    cargo run --release -q -p accordion-bench --bin repro -- \
+        tab1 --manifest "$smoke_dir/manifest.json" > /dev/null
+    grep -q '"schema": "accordion.run-manifest/2"' "$smoke_dir/manifest.json"
+    grep -q '"pool_tasks_total"' "$smoke_dir/manifest.json"
+
     # Service smoke: boot `repro serve` on a fixed local port, hit the
     # health and simulate endpoints, then stop it cooperatively. Proves
     # the binary wiring (artifact source, shutdown path), not just the

@@ -10,7 +10,11 @@
 //! * a `/metrics` exemplar captured during the spike carries a
 //!   `track="reqNNNNNNNN"` label that resolves to a real flight-
 //!   recorder track (the per-request track the server registered),
-//! * `served_alerts_firing` on `/metrics` agrees with `/v1/alerts`.
+//! * `served_alerts_firing` on `/metrics` agrees with `/v1/alerts`,
+//! * sheds are answered requests: a flood shed by a pinned one-worker
+//!   server raises the request and 5xx totals by every 503, and a shed
+//!   burn-rate rule measures a finite burn while nothing else is
+//!   answered.
 //!
 //! Timing: the latency histogram window is shrunk to 1.5 s (see
 //! `ServeConfig::latency_window_s`) so the spike decays within the
@@ -234,4 +238,90 @@ fn slo_alert_walks_full_lifecycle_with_visible_spike_and_exemplar() {
         "exemplar track {exemplar_track} not in the flight recording ({} tracks)",
         log.track_names.len()
     );
+
+    shed_flood_counts_and_burns();
+}
+
+/// Pins a one-worker, one-slot server for 2.2 s and floods it with a
+/// request every 100 ms: one request waits in the queue and the rest
+/// shed with 503. This binary runs no other server now, so the global
+/// request and 5xx counters move only with this traffic.
+fn shed_flood_counts_and_burns() {
+    const FLOOD: usize = 20;
+    let rules_path = std::env::temp_dir().join(format!(
+        "accordion-opsplane-burn-{}.toml",
+        std::process::id()
+    ));
+    std::fs::write(
+        &rules_path,
+        "[[alert]]\n\
+         name = \"shed-burn\"\n\
+         bad = \"served_http_requests_by_outcome_total{outcome=\\\"shed\\\"}:rate\"\n\
+         total = \"served_http_requests_total:rate\"\n\
+         objective = 0.999\n\
+         fast_window_s = 1\n\
+         slow_window_s = 1\n",
+    )
+    .expect("write rules file");
+    let handle = start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        handler_threads: 1,
+        queue_capacity: 1,
+        debug_endpoints: true,
+        scrape_interval: Duration::from_millis(25),
+        alert_rules: Some(rules_path.to_string_lossy().into_owned()),
+        ..ServeConfig::default()
+    })
+    .expect("bind server");
+    let addr = handle.addr();
+    let reg = accordion_telemetry::registry::global();
+    let totals = || {
+        (
+            reg.counter("served.http.requests").get(),
+            reg.counter("served.http.responses.5xx").get(),
+        )
+    };
+    let before = totals();
+
+    let pin = std::thread::spawn(move || post(addr, "/v1/debug/sleep", r#"{"ms": 2200}"#));
+    std::thread::sleep(Duration::from_millis(50));
+    let flood: Vec<_> = (0..FLOOD)
+        .map(|_| {
+            let client = std::thread::spawn(move || get(addr, "/healthz"));
+            std::thread::sleep(Duration::from_millis(100));
+            client
+        })
+        .collect();
+    let shed = flood
+        .into_iter()
+        .map(|c| c.join().expect("flood client"))
+        .filter(|r| r.starts_with("HTTP/1.1 503"))
+        .count();
+    assert!(pin.join().expect("pin client").starts_with("HTTP/1.1 200"));
+    assert!(shed > FLOOD / 2, "only {shed} of {FLOOD} shed");
+    let after = totals();
+    assert!(
+        after.0 - before.0 >= shed as u64,
+        "served.http.requests rose {} for {shed} sheds",
+        after.0 - before.0
+    );
+    assert!(
+        after.1 - before.1 >= shed as u64,
+        "served.http.responses.5xx rose {} for {shed} sheds",
+        after.1 - before.1
+    );
+
+    // Only sheds were answered inside the last fast window, so the
+    // rule's total rate is the shed rate, not zero.
+    let doc = json::parse(&body_of(&get(addr, "/v1/alerts"))).expect("alerts JSON");
+    let fast = match doc.get("alerts") {
+        Some(Json::Arr(rows)) => rows[0].get("fast_value").cloned(),
+        other => panic!("no alerts array: {other:?}"),
+    };
+    assert!(
+        matches!(fast, Some(Json::Num(v)) if v.is_finite()),
+        "shed burn rate not measured: {fast:?}"
+    );
+    handle.shutdown();
+    let _ = std::fs::remove_file(&rules_path);
 }
