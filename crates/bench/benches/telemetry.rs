@@ -3,15 +3,13 @@
 //! The instrumentation in the simulation stack is compiled in
 //! unconditionally, so these numbers are the per-event tax every run
 //! pays: a counter increment and a disabled span must both stay at
-//! nanosecond scale (single relaxed atomic operations), and the gated
-//! `trace_event!` must cost one load when nothing listens.
+//! nanosecond scale (single relaxed atomic operations), and a disabled
+//! flight-recorder event must cost one load.
 
 use accordion_telemetry::event::SimEvent;
 use accordion_telemetry::registry::{exponential_bounds, global};
 use accordion_telemetry::sink;
-use accordion_telemetry::{
-    counter, flight, flight_track, gauge, histogram, span, trace_event, Level,
-};
+use accordion_telemetry::{counter, flight, flight_track, gauge, histogram, span};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -59,21 +57,6 @@ fn bench_spans(c: &mut Criterion) {
         })
     });
     sink::set_timing(false);
-    group.finish();
-}
-
-fn bench_events(c: &mut Criterion) {
-    let mut group = c.benchmark_group("telemetry/event");
-    // No sink: the level gate must skip field construction entirely.
-    group.bench_function("disabled", |b| {
-        b.iter(|| {
-            trace_event!(
-                Level::Debug,
-                "bench.telemetry.event",
-                value = black_box(42u64),
-            )
-        })
-    });
     group.finish();
 }
 
@@ -128,7 +111,6 @@ criterion_group!(
     bench_counters,
     bench_histogram,
     bench_spans,
-    bench_events,
     bench_flight,
     bench_tsdb
 );

@@ -338,6 +338,11 @@ fn main() {
         m.record_seed("population", POPULATION_SEED);
         m.record_param("chips", Json::Num(cli.chips as f64));
         m.record_param("jobs", Json::Num(accordion_pool::jobs() as f64));
+        // The pool's counters read 0 in the metric dump, not absent,
+        // when a run does no pool work.
+        for name in ["pool.workers_spawned", "pool.tasks", "pool.steals"] {
+            accordion_telemetry::registry::global().counter(name);
+        }
         m.record_param("artifact", Json::str(&cli.artifact));
         if let Some(dir) = &cli.csv_dir {
             m.record_param("csv_dir", Json::str(dir));
@@ -391,28 +396,7 @@ fn main() {
         }
     }
 
-    if let (Some(m), Some(path)) = (manifest.as_mut(), &cli.manifest) {
-        // Pool provenance: the effective parallelism and the
-        // scheduler counters that describe how work actually moved.
-        let counters = accordion_telemetry::registry::global();
-        m.set(
-            "pool",
-            Json::obj(vec![
-                ("jobs", Json::Num(accordion_pool::jobs() as f64)),
-                (
-                    "workers_spawned",
-                    Json::Num(counters.counter("pool.workers_spawned").get() as f64),
-                ),
-                (
-                    "tasks",
-                    Json::Num(counters.counter("pool.tasks").get() as f64),
-                ),
-                (
-                    "steals",
-                    Json::Num(counters.counter("pool.steals").get() as f64),
-                ),
-            ]),
-        );
+    if let (Some(m), Some(path)) = (&manifest, &cli.manifest) {
         m.write(Path::new(path))
             .unwrap_or_else(|e| die(&format!("cannot write manifest {path}: {e}")));
     }

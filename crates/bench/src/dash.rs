@@ -29,7 +29,11 @@ pub const PANELS: [(&str, &str, &str); 5] = [
         "served_http_request_latency_us{outcome=\"ok\"}:p99",
         "us",
     ),
-    ("shed", "served_http_shed", ""),
+    (
+        "shed",
+        "served_http_requests_by_outcome_total{outcome=\"shed\"}:rate",
+        "/s",
+    ),
     ("coalesce", "served_coalesced_total:rate", "/s"),
 ];
 

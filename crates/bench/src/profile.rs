@@ -28,7 +28,7 @@ use accordion_sim::workload::Workload;
 use accordion_stats::rng::SeedStream;
 use accordion_telemetry::event::FlightLog;
 use accordion_telemetry::registry::{self, SpanSnapshot};
-use accordion_telemetry::{flight_track, span, trace_event, Level};
+use accordion_telemetry::{flight_track, span};
 use std::collections::BTreeMap;
 
 /// Per-DC nominal work of one probe data phase, cycles.
@@ -43,13 +43,11 @@ const PROBE_SEED: u64 = 4001;
 
 /// Runs the protocol probe on the calling thread.
 ///
-/// Must be called *outside* any live flight-recorder track: chip
-/// fabrication fans out through the pool and its per-chip tracks must
-/// stay top-level whether the closure is inlined (`--jobs 1`) or runs
-/// on a worker.
+/// Called outside any live flight-recorder track, so the probe chip's
+/// per-chip tracks are top-level (`fab{n}/chip{i}`) like every
+/// artifact's.
 pub fn protocol_probe() {
     let _span = span!("bench.profile.probe");
-    trace_event!(Level::Info, "bench.profile.probe.start");
 
     // App × Vdd grid: one short iterative app per cell, at the
     // per-cycle error rate that yields the cell's Drop target over a
@@ -64,8 +62,8 @@ pub fn protocol_probe() {
         }
     }
 
-    // Fabricate a small chip BEFORE entering the runtime track (see
-    // doc comment), then drive the drift runtime through a replan.
+    // Fabricate a small chip outside the runtime track (see doc
+    // comment), then drive the drift runtime through a replan.
     let chip = Chip::fabricate_small(1).expect("probe chip fabrication");
     {
         let _track = flight_track!("probe/runtime");

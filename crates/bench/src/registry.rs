@@ -3,7 +3,7 @@
 //! silently rot).
 
 use crate::figures::{ablate, errmodel, extensions, fig1, fig2, fig5, fig6, headline, tables};
-use accordion_telemetry::{counter, trace_event, Level};
+use accordion_telemetry::counter;
 
 /// Every reproducible artifact id, in report order.
 pub const ARTIFACTS: &[&str] = &[
@@ -206,12 +206,6 @@ pub fn generate(artifact: &str, chips: usize) -> Option<String> {
     // Artifact ids are a small fixed set, so interpolating them into
     // the span name keeps metric cardinality bounded.
     let _span = accordion_telemetry::span::SpanGuard::enter(&format!("bench.artifact.{artifact}"));
-    trace_event!(
-        Level::Info,
-        "bench.artifact.start",
-        artifact = artifact,
-        chips = chips,
-    );
     let report = match artifact {
         "fig1a" => fig1::fig1a_report(),
         "fig1b" => fig1::fig1b_report(),

@@ -17,7 +17,7 @@ use accordion_chip::topology::ClusterId;
 use accordion_sim::exec::ExecModel;
 use accordion_sim::workload::Workload;
 use accordion_telemetry::event::SimEvent;
-use accordion_telemetry::{counter, flight, gauge, histogram, span, trace_event, Level};
+use accordion_telemetry::{counter, flight, gauge, histogram, span};
 
 /// Per-epoch account of a dynamically orchestrated execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -201,13 +201,6 @@ impl<'a> RuntimeController<'a> {
             if let Some(prev) = reports.last() {
                 if prev.clusters != plan.len() {
                     counter!("runtime.cluster_count_changes").inc();
-                    trace_event!(
-                        Level::Info,
-                        "runtime.cluster_count_change",
-                        epoch = e,
-                        from = prev.clusters,
-                        to = plan.len(),
-                    );
                 }
             }
             gauge!("runtime.clusters_engaged").set(plan.len() as f64);

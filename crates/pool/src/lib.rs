@@ -60,6 +60,14 @@
 //! Every task opens a `pool.task` telemetry span, so `ACCORDION_TRACE`
 //! / `repro --trace` shows per-task timing, and `pool.tasks` /
 //! `pool.steals` counters land in run manifests.
+//!
+//! # Trace context
+//!
+//! Workers carry the calling thread's live flight-recorder track
+//! (`accordion_telemetry::event::carry`) as the parent of the tracks
+//! their tasks enter, so a track entered inside a task has the same
+//! full name and id whether the task runs inline or on a worker. With
+//! the recorder off this costs one relaxed load per map.
 
 #![deny(missing_docs)]
 
@@ -67,6 +75,7 @@ mod memo;
 
 pub use memo::{Memo, MemoStats};
 
+use accordion_telemetry::event::CarriedTrack;
 use accordion_telemetry::{counter, span};
 use std::any::Any;
 use std::collections::VecDeque;
@@ -111,29 +120,6 @@ fn run_one<R>(f: impl FnOnce() -> R) -> R {
     let _span = span!("pool.task");
     counter!("pool.tasks").inc();
     f()
-}
-
-std::thread_local! {
-    /// Caller-provided task tag, propagated from the thread that
-    /// enters a combinator to every worker it spawns. 0 = untagged.
-    static TASK_TAG: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Tags the current thread with an opaque caller-defined id (0 clears
-/// it). Pool combinators entered from this thread propagate the tag to
-/// their worker threads, so task code can recover the logical owner —
-/// `accordion-served` tags handler threads with the request id and
-/// reads it back inside pool jobs to name per-request flight-recorder
-/// tracks deterministically.
-pub fn set_task_tag(tag: u64) {
-    TASK_TAG.set(tag);
-}
-
-/// The current thread's task tag: the value set by [`set_task_tag`] on
-/// this thread, or — on a pool worker — the tag of the thread that
-/// entered the enclosing combinator. 0 when untagged.
-pub fn task_tag() -> u64 {
-    TASK_TAG.get()
 }
 
 /// Parallel map over an index range with results in index order.
@@ -197,11 +183,11 @@ where
         .collect();
     let panicked: Mutex<Option<PanicPayload>> = Mutex::new(None);
 
-    let tag = task_tag();
+    let parent = accordion_telemetry::event::carry();
     std::thread::scope(|s| {
         for w in 0..workers {
             let (slots, queues, panicked, f) = (&slots, &queues, &panicked, &f);
-            spawn_worker(s, w, tag, move || loop {
+            spawn_worker(s, w, parent.as_ref(), move || loop {
                 let i = {
                     let own = queues[w].lock().expect("pool queue lock").pop_front();
                     match own.or_else(|| steal_index(queues, w)) {
@@ -242,12 +228,12 @@ where
 /// Spawns one named worker thread into a scope. The name shows up in
 /// OS-level profilers and panic messages; the telemetry lane tags the
 /// thread's flight-recorder events for the Chrome host-track view, and
-/// the caller's task tag is installed so task code sees its logical
-/// owner (see [`set_task_tag`]).
+/// the caller's carried flight track parents the tracks its tasks
+/// enter.
 fn spawn_worker<'scope, 'env: 'scope>(
     s: &'scope std::thread::Scope<'scope, 'env>,
     w: usize,
-    tag: u64,
+    parent: Option<&'scope CarriedTrack>,
     body: impl FnOnce() + Send + 'scope,
 ) {
     std::thread::Builder::new()
@@ -255,7 +241,9 @@ fn spawn_worker<'scope, 'env: 'scope>(
         .spawn_scoped(s, move || {
             counter!("pool.workers_spawned").inc();
             accordion_telemetry::event::set_lane(w as u32 + 1);
-            set_task_tag(tag);
+            if let Some(parent) = parent {
+                accordion_telemetry::event::adopt(parent);
+            }
             body()
         })
         .expect("spawn pool worker");
@@ -398,16 +386,43 @@ mod tests {
     }
 
     #[test]
-    fn task_tag_propagates_to_workers() {
-        set_task_tag(77);
-        // Parallel: fresh worker threads must inherit the caller's tag.
-        let tags = with_jobs(1, || par_map_indexed_with(4, 8, |_| task_tag()));
-        assert!(tags.iter().all(|&t| t == 77), "{tags:?}");
-        // Sequential: the calling thread already carries it.
-        let tags = with_jobs(1, || par_map_indexed_with(1, 3, |_| task_tag()));
-        assert!(tags.iter().all(|&t| t == 77));
-        set_task_tag(0);
-        assert_eq!(task_tag(), 0);
+    fn workers_nest_tracks_under_the_callers_live_track() {
+        use accordion_telemetry::event::{self, SimEvent};
+        use accordion_telemetry::flight_track;
+        event::enable();
+        event::drain();
+        let record = |workers: usize| {
+            {
+                let _req = flight_track!("req{:08}", 7);
+                par_map_indexed_with(workers, 4, |i| {
+                    let _point = flight_track!("point{}", i);
+                    event::record(SimEvent::SafeFreq { f_ghz: 1.0 });
+                });
+            }
+            event::drain()
+        };
+        let inline = record(1);
+        let spread = record(4);
+        // A worker never records on the carried track: its owner is
+        // the calling thread.
+        {
+            let _req = flight_track!("req{:08}", 7);
+            par_map_indexed_with(4, 4, |_| event::record(SimEvent::SafeFreq { f_ghz: 2.0 }));
+        }
+        let stray = event::drain();
+        event::disable();
+
+        let points: Vec<&str> = spread.events.iter().map(|e| spread.track_name(e)).collect();
+        assert_eq!(
+            points,
+            [0, 1, 2, 3].map(|i| format!("req00000007/point{i}")),
+            "{:?}",
+            spread.track_names
+        );
+        assert_eq!(inline.track_names, spread.track_names, "same names and ids");
+        assert_eq!(spread.untracked, 0);
+        assert!(stray.is_empty());
+        assert_eq!(stray.untracked, 4);
     }
 
     #[test]

@@ -404,19 +404,13 @@ pub fn sweep(doc: &Json, workers: usize) -> Result<Json, EngineError> {
     }
     counter!("served.engine.sweep_points").add(grid.len() as u64);
     // Fan out over the pool. Each point enters its own flight track
-    // named by the owning request's pool task tag, so a Chrome trace
-    // shows per-request span trees (`req00000012/point7`) even though
-    // the points execute on anonymous work-stealing workers. Grid
-    // order is vdd-major, so point `i` reads row `i / sizes.len()`'s
-    // hoisted context.
+    // under the request's, which the pool carries to its workers, so a
+    // Chrome trace shows per-request span trees (`req00000012/point7`)
+    // at any worker count. Grid order is vdd-major, so point `i` reads
+    // row `i / sizes.len()`'s hoisted context.
     let fanout_started = Instant::now();
     let points = accordion_pool::par_map_indexed_with(workers, grid.len(), |i| {
-        let tag = accordion_pool::task_tag();
-        let _t = if tag != 0 {
-            flight_track!("req{:08}/point{}", tag, i)
-        } else {
-            flight_track!("sweep/point{}", i)
-        };
+        let _t = flight_track!("point{}", i);
         simulate_at(&grid[i], &chip, &ctxs[i / sizes.len()])
     });
     let fanout_us = fanout_started.elapsed().as_micros() as u64;

@@ -10,10 +10,10 @@
 //! maps to a 4xx (`400` bad framing, `413` oversized body, `431`
 //! oversized head) so a fuzzer can only ever collect error responses.
 //!
-//! Responses are encoded to owned byte buffers ([`Response::encode`],
-//! [`ChunkedEncoder`]) rather than written to a socket: the reactor
-//! owns all socket writes and may need to park a partially-written
-//! response until the peer drains it.
+//! Responses are encoded to owned byte buffers ([`Response::encode`])
+//! rather than written to a socket: the reactor owns all socket writes
+//! and may need to park a partially-written response until the peer
+//! drains it.
 
 /// Hard cap on the request line + headers, independent of the body cap.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -385,45 +385,6 @@ impl Response {
     }
 }
 
-/// Encodes a `200` response with `Transfer-Encoding: chunked` framing.
-/// Used by the artifact endpoint, whose body length is unknown until
-/// generation finishes; chunked framing keeps the connection reusable
-/// under keep-alive.
-pub struct ChunkedEncoder {
-    out: Vec<u8>,
-}
-
-impl ChunkedEncoder {
-    /// Starts a chunked `200` with the given content type.
-    pub fn new(content_type: &str, keep_alive: bool) -> Self {
-        let head = format!(
-            "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: {}\r\n\r\n",
-            if keep_alive { "keep-alive" } else { "close" },
-        );
-        Self {
-            out: head.into_bytes(),
-        }
-    }
-
-    /// Appends one chunk (empty input appends nothing — an empty chunk
-    /// would terminate the stream).
-    pub fn chunk(&mut self, data: &[u8]) {
-        if data.is_empty() {
-            return;
-        }
-        self.out
-            .extend_from_slice(format!("{:x}\r\n", data.len()).as_bytes());
-        self.out.extend_from_slice(data);
-        self.out.extend_from_slice(b"\r\n");
-    }
-
-    /// Appends the terminal chunk and returns the full wire form.
-    pub fn finish(mut self) -> Vec<u8> {
-        self.out.extend_from_slice(b"0\r\n\r\n");
-        self.out
-    }
-}
-
 /// Canonical reason phrase for the status codes this service emits.
 pub fn status_reason(status: u16) -> &'static str {
     match status {
@@ -581,15 +542,5 @@ mod tests {
         let close = String::from_utf8(resp.encode(false)).unwrap();
         assert!(close.contains("Connection: close\r\n"), "{close}");
         assert!(close.ends_with("\r\n\r\n{}"), "{close}");
-    }
-
-    #[test]
-    fn chunked_encoding_frames_and_terminates() {
-        let mut enc = ChunkedEncoder::new("text/plain; charset=utf-8", true);
-        enc.chunk(b"");
-        enc.chunk(b"hello");
-        let wire = String::from_utf8(enc.finish()).unwrap();
-        assert!(wire.contains("Transfer-Encoding: chunked\r\n"), "{wire}");
-        assert!(wire.ends_with("5\r\nhello\r\n0\r\n\r\n"), "{wire}");
     }
 }

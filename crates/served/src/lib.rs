@@ -18,7 +18,7 @@
 //! | `POST /v1/sweep` | a Vdd × size grid, executed as one ordered parallel map |
 //! | `POST /v1/optimize` | operating-point search: iso-metric fronts + seeded NSGA-II over the knob space |
 //! | `GET /v1/artifacts` | registered repro artifact ids |
-//! | `GET /v1/artifacts/{name}` | generate one artifact (chunked transfer encoding) |
+//! | `GET /v1/artifacts/{name}` | generate one artifact report (`?chips=N`), framed by `Content-Length` |
 //! | `GET /healthz` | liveness plus cache occupancy |
 //! | `GET /metrics` | text exposition of the telemetry registry |
 //! | `POST /v1/shutdown` | cooperative shutdown; queued requests drain |

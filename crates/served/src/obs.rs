@@ -8,10 +8,11 @@
 //! (thread-local) for the duration of the request; layers below the
 //! router — today the engine's chip-cache lookup — annotate it
 //! via [`note_cache`] / [`note_handler`] without threading a context
-//! argument through every signature. The id also becomes the pool
-//! task tag and the flight-recorder track name (`req00000001`), so a
-//! Chrome trace groups a request's parse/cache/fanout/serialize
-//! stages under one deterministic track.
+//! argument through every signature. The id also names the request's
+//! flight-recorder track (`req00000001`), so a Chrome trace groups a
+//! request's parse/cache/fanout/serialize stages under one
+//! deterministic track; the pool carries that track to its workers,
+//! where a sweep's points nest under it.
 //!
 //! # Access log determinism
 //!
@@ -34,8 +35,6 @@ use std::sync::Mutex;
 /// Mutable per-request annotations, set by layers below the router.
 #[derive(Debug, Clone, Default)]
 pub struct RequestCtx {
-    /// Accept-order request id (1-based; 0 = no request active).
-    pub id: u64,
     /// Chip-cache outcome: `Some(true)` hit, `Some(false)` miss,
     /// `None` when the request never touched the cache.
     pub cache_hit: Option<bool>,
@@ -49,10 +48,9 @@ thread_local! {
 
 /// Installs a fresh request context on this thread. Called by the
 /// server's handler loop; pairs with [`end_request`].
-pub fn begin_request(id: u64) {
+pub fn begin_request() {
     CTX.with(|c| {
         *c.borrow_mut() = Some(RequestCtx {
-            id,
             cache_hit: None,
             handler: "-",
         });
@@ -84,11 +82,6 @@ pub fn note_handler(name: &'static str) {
             ctx.handler = name;
         }
     });
-}
-
-/// The current request's id (0 outside a request).
-pub fn current_id() -> u64 {
-    CTX.with(|c| c.borrow().as_ref().map_or(0, |ctx| ctx.id))
 }
 
 /// Everything one access-log line reports; the `outcome` field is
@@ -201,17 +194,14 @@ mod tests {
 
     #[test]
     fn context_annotations_round_trip() {
-        begin_request(3);
-        assert_eq!(current_id(), 3);
+        begin_request();
         note_cache(true);
         note_cache(false); // first annotation wins
         note_handler("simulate");
         let ctx = end_request().expect("ctx installed");
-        assert_eq!(ctx.id, 3);
         assert_eq!(ctx.cache_hit, Some(true));
         assert_eq!(ctx.handler, "simulate");
         assert!(end_request().is_none());
-        assert_eq!(current_id(), 0);
     }
 
     #[test]

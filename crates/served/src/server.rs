@@ -25,7 +25,7 @@
 //! all threads and flushes telemetry.
 
 use crate::engine::{self, EngineError, SimQuery};
-use crate::http::{self, Request, RequestParser, Response};
+use crate::http::{Request, RequestParser, Response};
 use crate::obs::{self, AccessLog, AccessRecord};
 use crate::reactor::{PollSet, WakeHandle, Waker};
 use accordion_chip::popcache;
@@ -818,7 +818,6 @@ fn dispatch(
     }
     // Shed inline from the reactor: a one-line 503 is cheap and tells
     // a well-behaved client when to retry; it never waits on a worker.
-    counter!("served.http.rejected_queue_full").inc();
     shared.shed.fetch_add(1, Ordering::Relaxed);
     let resp = Response::error(503, "server saturated; retry shortly")
         .with_header("Retry-After", "1".to_string());
@@ -951,11 +950,10 @@ fn handle_job(shared: &Shared, job: Job) -> Vec<u8> {
     let queue_us = job.queued.elapsed().as_micros() as u64;
     let started = Instant::now();
     shared.in_flight.fetch_add(1, Ordering::Relaxed);
-    // Request id → thread-local context, pool task tag, and flight
-    // track: every downstream layer can name this request without a
+    // Request context and flight track: every downstream layer, pool
+    // workers included, can annotate and name this request without a
     // context argument (see `crate::obs`).
-    obs::begin_request(job.id);
-    accordion_pool::set_task_tag(job.id);
+    obs::begin_request();
     let _track = flight_track!("req{:08}", job.id);
     histogram!("served.http.queue_wait_us", latency_bounds()).record(queue_us as f64);
     accordion_telemetry::event::advance_sim(job.parse_us);
@@ -969,11 +967,11 @@ fn handle_job(shared: &Shared, job: Job) -> Vec<u8> {
     let handle_started = Instant::now();
     // A route handler panicking (a bug) must answer 500 and leave the
     // worker alive for the next request.
-    let routed = match catch_unwind(AssertUnwindSafe(|| route(shared, req))) {
+    let resp = match catch_unwind(AssertUnwindSafe(|| route(shared, req))) {
         Ok(resp) => resp,
         Err(_) => {
             counter!("served.http.panics").inc();
-            Routed::Plain(Response::error(500, "internal error (handler panicked)"))
+            Response::error(500, "internal error (handler panicked)")
         }
     };
     let handle_us = handle_started.elapsed().as_micros() as u64;
@@ -984,15 +982,7 @@ fn handle_job(shared: &Shared, job: Job) -> Vec<u8> {
     });
 
     let encode_started = Instant::now();
-    let (status, body_bytes, wire) = match routed {
-        Routed::Plain(resp) => {
-            let wire = resp.encode(job.keep_alive);
-            (resp.status, resp.body.len() as u64, wire)
-        }
-        Routed::Artifact { id, chips, source } => {
-            render_artifact(&id, chips, source, job.keep_alive)
-        }
-    };
+    let wire = resp.encode(job.keep_alive);
     let encode_us = encode_started.elapsed().as_micros() as u64;
     accordion_telemetry::event::advance_sim(encode_us);
     flight!(SimEvent::ServeStage {
@@ -1000,7 +990,6 @@ fn handle_job(shared: &Shared, job: Job) -> Vec<u8> {
         us: encode_us,
     });
 
-    accordion_pool::set_task_tag(0);
     let ctx = obs::end_request().unwrap_or_default();
     account(
         shared,
@@ -1008,50 +997,20 @@ fn handle_job(shared: &Shared, job: Job) -> Vec<u8> {
             id: job.id,
             method: &req.method,
             path: &req.path,
-            status,
+            status: resp.status,
             handler: ctx.handler,
             cache: match ctx.cache_hit {
                 Some(true) => "hit",
                 Some(false) => "miss",
                 None => "-",
             },
-            bytes: body_bytes,
+            bytes: resp.body.len() as u64,
             queue_us,
             latency_us: job.parse_us + started.elapsed().as_micros() as u64,
         },
     );
     shared.in_flight.fetch_sub(1, Ordering::Relaxed);
     wire
-}
-
-/// Generates and chunk-encodes one artifact (panic-isolated).
-fn render_artifact(
-    id: &str,
-    chips: usize,
-    source: ArtifactSource,
-    keep_alive: bool,
-) -> (u16, u64, Vec<u8>) {
-    counter!("served.artifacts.requests").inc();
-    match catch_unwind(AssertUnwindSafe(|| (source.generate)(id, chips))) {
-        Ok(Some(text)) => {
-            let mut enc = http::ChunkedEncoder::new("text/plain; charset=utf-8", keep_alive);
-            enc.chunk(text.as_bytes());
-            (200, text.len() as u64, enc.finish())
-        }
-        Ok(None) => {
-            // Validated before routing here; a miss now means the
-            // registry changed under us.
-            let resp = Response::error(500, "artifact registry changed underfoot");
-            let bytes = resp.body.len() as u64;
-            (500, bytes, resp.encode(keep_alive))
-        }
-        Err(_) => {
-            counter!("served.http.panics").inc();
-            let resp = Response::error(500, "artifact generation panicked");
-            let bytes = resp.body.len() as u64;
-            (500, bytes, resp.encode(keep_alive))
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1148,7 +1107,6 @@ fn describe_metrics() {
         "served.http.in_flight",
         "requests currently inside a worker",
     );
-    reg.describe("served.http.shed", "requests shed with 503 at the queue");
     reg.describe(
         "served.coalesced",
         "simulate, sweep and optimize requests answered by coalescing onto an identical in-flight or memoized evaluation",
@@ -1263,66 +1221,60 @@ fn handler_name(method: &str, path: &str) -> &'static str {
     }
 }
 
-/// Route outcome: either a fully-formed response, or an artifact to
-/// generate and stream chunked.
-enum Routed {
-    Plain(Response),
-    Artifact {
-        id: String,
-        chips: usize,
-        source: ArtifactSource,
-    },
-}
-
-fn route(shared: &Shared, req: &Request) -> Routed {
-    let plain = |r: Response| Routed::Plain(r);
+fn route(shared: &Shared, req: &Request) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => plain(healthz(shared)),
-        ("GET", "/metrics") => plain(metrics(shared)),
-        ("GET", "/v1/timeseries") => plain(timeseries(shared, req)),
-        ("GET", "/v1/alerts") => plain(alerts_status(shared)),
-        ("GET", "/v1/artifacts") => plain(list_artifacts(shared)),
-        ("POST", "/v1/simulate") => plain(simulate(shared, req)),
-        ("POST", "/v1/sweep") => plain(sweep(shared, req)),
-        ("POST", "/v1/optimize") => plain(optimize(shared, req)),
+        ("GET", "/healthz") => healthz(shared),
+        ("GET", "/metrics") => metrics(shared),
+        ("GET", "/v1/timeseries") => timeseries(shared, req),
+        ("GET", "/v1/alerts") => alerts_status(shared),
+        ("GET", "/v1/artifacts") => list_artifacts(shared),
+        ("POST", "/v1/simulate") => simulate(shared, req),
+        ("POST", "/v1/sweep") => sweep(shared, req),
+        ("POST", "/v1/optimize") => optimize(shared, req),
         ("POST", "/v1/shutdown") => {
             shared.request_stop();
-            plain(Response::json(
+            Response::json(
                 200,
                 json::Json::obj(vec![("status", json::Json::str("stopping"))]).render(),
-            ))
+            )
         }
-        ("POST", "/v1/debug/sleep") if shared.cfg.debug_endpoints => plain(debug_sleep(req)),
+        ("POST", "/v1/debug/sleep") if shared.cfg.debug_endpoints => debug_sleep(req),
         ("GET", path) if path.starts_with("/v1/artifacts/") => {
-            let id = path["/v1/artifacts/".len()..].to_string();
-            let Some(source) = shared.cfg.artifacts else {
-                return plain(Response::error(
-                    404,
-                    "artifact generation is not wired into this server",
-                ));
-            };
-            if !source.ids.contains(&id.as_str()) {
-                return plain(Response::error(404, &format!("unknown artifact {id:?}")));
-            }
-            let chips = match req.query_value("chips").map(str::parse::<usize>) {
-                None => 8,
-                Some(Ok(n)) if (1..=100).contains(&n) => n,
-                Some(_) => {
-                    return plain(Response::error(400, "chips must be an integer in [1, 100]"))
-                }
-            };
-            Routed::Artifact { id, chips, source }
+            artifact(shared, req, &path["/v1/artifacts/".len()..])
         }
         (_, "/healthz" | "/metrics" | "/v1/artifacts" | "/v1/timeseries" | "/v1/alerts")
         | ("GET" | "PUT" | "DELETE", "/v1/simulate" | "/v1/sweep" | "/v1/optimize") => {
-            plain(Response::error(405, "method not allowed"))
+            Response::error(405, "method not allowed")
         }
-        _ => plain(Response::error(404, "no such endpoint")),
+        _ => Response::error(404, "no such endpoint"),
+    }
+}
+
+/// `GET /v1/artifacts/{id}?chips=N`: generates one artifact report
+/// (a population of `N` chips, default 8).
+fn artifact(shared: &Shared, req: &Request, id: &str) -> Response {
+    let Some(source) = shared.cfg.artifacts else {
+        return Response::error(404, "artifact generation is not wired into this server");
+    };
+    if !source.ids.contains(&id) {
+        return Response::error(404, &format!("unknown artifact {id:?}"));
+    }
+    let chips = match req.query_value("chips").map(str::parse::<usize>) {
+        None => 8,
+        Some(Ok(n)) if (1..=100).contains(&n) => n,
+        Some(_) => return Response::error(400, "chips must be an integer in [1, 100]"),
+    };
+    counter!("served.artifacts.requests").inc();
+    match (source.generate)(id, chips) {
+        Some(text) => Response::text(200, text),
+        // Validated above: a miss means the id list and the generator
+        // disagree.
+        None => Response::error(500, "artifact registry changed underfoot"),
     }
 }
 
 /// Refreshes the point-in-time serving gauges (queue depth, in-flight,
-/// shed, uptime, cache occupancy). Shared by `/metrics` and the
+/// uptime, cache occupancy). Shared by `/metrics` and the
 /// self-scrape loop so the exposition and the TSDB history agree.
 fn refresh_gauges(shared: &Shared) {
     let reg = accordion_telemetry::registry::global();
@@ -1330,8 +1282,6 @@ fn refresh_gauges(shared: &Shared) {
     reg.gauge("served.queue.depth").set(depth as f64);
     reg.gauge("served.http.in_flight")
         .set(shared.in_flight.load(Ordering::Relaxed) as f64);
-    reg.gauge("served.http.shed")
-        .set(shared.shed.load(Ordering::Relaxed) as f64);
     reg.gauge("served.uptime.seconds")
         .set(shared.started.elapsed().as_secs_f64());
     let (hits, misses) = popcache::stats();
@@ -1861,7 +1811,7 @@ mod tests {
             handle.addr(),
             &format!(
                 "GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
-                "a".repeat(http::MAX_HEAD_BYTES + 1)
+                "a".repeat(crate::http::MAX_HEAD_BYTES + 1)
             ),
         );
         assert!(reply.starts_with("HTTP/1.1 431"), "{reply}");

@@ -12,7 +12,7 @@ use crate::fault::FaultInjector;
 use crate::mailbox::{CcDcMailbox, DcIndex};
 use accordion_stats::rng::StreamRng;
 use accordion_telemetry::event::SimEvent;
-use accordion_telemetry::{counter, flight, flight_at, histogram, span, trace_event, Level};
+use accordion_telemetry::{counter, flight, flight_at, histogram, span};
 use rand::Rng;
 
 /// Configuration of one CC/DC execution round.
@@ -186,13 +186,6 @@ pub fn run_round(cfg: &CcDcConfig, rng: &mut StreamRng) -> CcDcReport {
                         continue;
                     }
                     watchdog_fires += 1;
-                    trace_event!(
-                        Level::Debug,
-                        "sim.ccdc.watchdog_fire",
-                        dc = dc.0,
-                        attempt = attempt,
-                        time = time,
-                    );
                     let restarted = attempt < cfg.max_restarts;
                     flight_at!(
                         time,

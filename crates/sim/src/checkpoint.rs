@@ -12,7 +12,7 @@
 //! *net-triggering* failures.
 
 use accordion_telemetry::event::SimEvent;
-use accordion_telemetry::{counter, flight, trace_event, Level};
+use accordion_telemetry::{counter, flight};
 
 /// Checkpoint/restore cost parameters, in cycles.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,12 +45,6 @@ impl CheckpointParams {
         assert!(mtbf_cycles > 0.0, "MTBF must be positive");
         let tau = (2.0 * self.checkpoint_cycles * mtbf_cycles).sqrt();
         counter!("sim.checkpoint.plans").inc();
-        trace_event!(
-            Level::Debug,
-            "sim.checkpoint.plan",
-            mtbf_cycles = mtbf_cycles,
-            interval_cycles = tau,
-        );
         flight!(SimEvent::CheckpointPlan {
             mtbf_cycles,
             interval_cycles: tau,

@@ -12,7 +12,7 @@
 use crate::ccdc::{run_round, CcDcConfig, CcDcReport, DcOutcome};
 use accordion_stats::rng::SeedStream;
 use accordion_telemetry::event::SimEvent;
-use accordion_telemetry::{counter, flight, span, trace_event, Level};
+use accordion_telemetry::{counter, flight, span};
 
 /// One application phase.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,13 +52,6 @@ pub fn run_app(phases: &[Phase], num_dcs: usize, perr_per_cycle: f64, seed: Seed
     assert!(!phases.is_empty(), "an application has at least one phase");
     assert!(num_dcs > 0, "need at least one data core");
     let _span = span!("sim.phases.app");
-    trace_event!(
-        Level::Info,
-        "sim.phases.app.start",
-        phases = phases.len(),
-        num_dcs = num_dcs,
-        perr_per_cycle = perr_per_cycle,
-    );
     let mut makespan = 0u64;
     let mut rounds = Vec::new();
     let mut dropped = 0usize;

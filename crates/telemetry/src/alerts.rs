@@ -493,11 +493,19 @@ fn build_rule(start: usize, kvs: Vec<(usize, String, Value)>) -> Result<AlertRul
         }
     };
 
+    // A present but rejected key has already reported its one error;
+    // "missing" is for absent keys only.
     let name = match str_of("name", &mut errors) {
         Some(n) if !n.is_empty() => n,
+        None if map.contains_key("name") => String::new(),
         _ => {
             errors.push(format!("line {start}: [[alert]] needs a non-empty name"));
             String::new()
+        }
+    };
+    let missing = |key: &str, errors: &mut Vec<String>| {
+        if !map.contains_key(key) {
+            errors.push(format!("alert {name:?}: missing {key}"));
         }
     };
 
@@ -539,7 +547,7 @@ fn build_rule(start: usize, kvs: Vec<(usize, String, Value)>) -> Result<AlertRul
                 ));
             }
             let metric = str_of("metric", &mut errors).unwrap_or_else(|| {
-                errors.push(format!("alert {name:?}: missing metric"));
+                missing("metric", &mut errors);
                 String::new()
             });
             let op = match str_of("op", &mut errors).as_deref() {
@@ -553,7 +561,7 @@ fn build_rule(start: usize, kvs: Vec<(usize, String, Value)>) -> Result<AlertRul
                 }
             };
             let threshold = num_of("threshold", &mut errors).unwrap_or_else(|| {
-                errors.push(format!("alert {name:?}: missing threshold"));
+                missing("threshold", &mut errors);
                 0.0
             });
             Some(AlertKind::Threshold {
@@ -570,7 +578,7 @@ fn build_rule(start: usize, kvs: Vec<(usize, String, Value)>) -> Result<AlertRul
             }
             let mut req = |key: &str| {
                 str_of(key, &mut errors).unwrap_or_else(|| {
-                    errors.push(format!("alert {name:?}: missing {key}"));
+                    missing(key, &mut errors);
                     String::new()
                 })
             };
@@ -585,7 +593,7 @@ fn build_rule(start: usize, kvs: Vec<(usize, String, Value)>) -> Result<AlertRul
                     0.999
                 }
                 None => {
-                    errors.push(format!("alert {name:?}: missing objective"));
+                    missing("objective", &mut errors);
                     0.999
                 }
             };
@@ -743,6 +751,35 @@ threshold = 2.0
         assert!(parse_rules("[[alert]]\nname = \"x\"\nmetric = \"unterminated\n").is_err());
         // Empty file is fine: zero rules.
         assert_eq!(parse_rules("# nothing here\n").unwrap().len(), 0);
+    }
+
+    #[test]
+    fn a_rejected_key_is_one_error_on_its_line() {
+        let threshold =
+            |v: &str| format!("[[alert]]\nname = \"x\"\nmetric = \"m\"\nthreshold = {v}\n");
+        let burn = |bad: &str, objective: &str| {
+            format!(
+                "[[alert]]\nname = \"x\"\nbad = {bad}\ntotal = \"t\"\nobjective = {objective}\n"
+            )
+        };
+        for (text, line) in [
+            (threshold("nan"), 4),
+            (threshold("\"high\""), 4),
+            (burn("\"b\"", "inf"), 5),
+            (
+                "[[alert]]\nname = 5\nmetric = \"m\"\nthreshold = 1\n".to_string(),
+                2,
+            ),
+            (
+                "[[alert]]\nname = \"x\"\nmetric = 5\nthreshold = 1\n".to_string(),
+                3,
+            ),
+            (burn("5", "0.99"), 3),
+        ] {
+            let errs = parse_rules(&text).unwrap_err();
+            assert_eq!(errs.len(), 1, "{text:?}: {errs:?}");
+            assert!(errs[0].starts_with(&format!("line {line}: ")), "{errs:?}");
+        }
     }
 
     /// Drives a threshold rule through its whole lifecycle with a

@@ -29,6 +29,12 @@
 //! view, so the rendered bytes are identical for `ACCORDION_JOBS=1`
 //! and `=8` on a fixed seed (pinned by `tests/determinism.rs`).
 //!
+//! A pool carries the caller's live track to its workers ([`carry`],
+//! [`adopt`]). There it only parents the tracks a worker enters, so a
+//! track entered inside a task has the same full name and id whether
+//! the task runs inline or on a worker; the worker never records on
+//! the carried track itself.
+//!
 //! # Overhead when disabled
 //!
 //! [`enabled`] is one relaxed atomic load; the [`crate::flight!`] and
@@ -436,6 +442,9 @@ struct Ctx {
     name: String,
     next_seq: u64,
     sim_cycles: u64,
+    /// Whether this thread entered `track` and so may record on it;
+    /// false for the root and for a track carried from another thread.
+    owned: bool,
 }
 
 impl Ctx {
@@ -445,6 +454,7 @@ impl Ctx {
             name: String::new(),
             next_seq: 0,
             sim_cycles: 0,
+            owned: false,
         }
     }
 }
@@ -522,8 +532,9 @@ impl TrackGuard {
         TrackGuard { prev: None }
     }
 
-    /// Enters a track named `label` under the current track (or as a
-    /// root track if none is entered).
+    /// Enters a track named `label` under the current track, entered
+    /// here or carried from the calling thread (see [`adopt`]), or as a
+    /// root track if there is none.
     pub fn enter(label: &str) -> Self {
         if !enabled() {
             return Self::inert();
@@ -548,6 +559,7 @@ impl TrackGuard {
                 name: st.name.clone(),
                 next_seq: st.next_seq,
                 sim_cycles: st.sim_cycles,
+                owned: true,
             };
             drop(tracks);
             let prev = std::mem::replace(&mut *ctx, new);
@@ -577,6 +589,47 @@ impl Drop for TrackGuard {
     }
 }
 
+/// A live track carried to another thread, where it parents the
+/// tracks that thread enters; see [`carry`] and [`adopt`].
+#[derive(Debug)]
+pub struct CarriedTrack {
+    id: u64,
+    name: String,
+}
+
+/// The current thread's live track, for a pool to carry to its
+/// workers. `None` when no track is live, and after one relaxed load
+/// when the recorder is off.
+pub fn carry() -> Option<CarriedTrack> {
+    if !enabled() {
+        return None;
+    }
+    CTX.with(|c| {
+        let ctx = c.borrow();
+        (ctx.track != UNTRACKED).then(|| CarriedTrack {
+            id: ctx.track,
+            name: ctx.name.clone(),
+        })
+    })
+}
+
+/// Makes `carried` the parent of the tracks this thread enters, as on
+/// the thread that carried it. This thread never records on `carried`
+/// itself (its owner is the carrying thread), so an event recorded
+/// here outside a track of its own stays untracked. Called by
+/// `accordion-pool` on each fresh worker thread.
+pub fn adopt(carried: &CarriedTrack) {
+    CTX.with(|c| {
+        *c.borrow_mut() = Ctx {
+            track: carried.id,
+            name: carried.name.clone(),
+            next_seq: 0,
+            sim_cycles: 0,
+            owned: false,
+        };
+    });
+}
+
 /// Advances the current track's simulated clock by `cycles`.
 pub fn advance_sim(cycles: u64) {
     if !enabled() {
@@ -591,8 +644,8 @@ pub fn record(event: SimEvent) {
 }
 
 /// Records an event `offset_cycles` past the current track clock.
-/// No-op when the recorder is disabled; counted-and-dropped when no
-/// track is entered (untracked events cannot be ordered
+/// No-op when the recorder is disabled; counted-and-dropped when this
+/// thread has entered no track (untracked events cannot be ordered
 /// deterministically).
 pub fn record_at(offset_cycles: u64, event: SimEvent) {
     if !enabled() {
@@ -601,7 +654,7 @@ pub fn record_at(offset_cycles: u64, event: SimEvent) {
     let rec = recorder();
     let Some((track, seq, t_cycles)) = CTX.with(|c| {
         let mut ctx = c.borrow_mut();
-        if ctx.track == UNTRACKED {
+        if !ctx.owned {
             return None;
         }
         let seq = ctx.next_seq;
@@ -766,6 +819,36 @@ mod tests {
         disable();
         assert!(log.is_empty());
         assert_eq!(log.untracked, 1);
+    }
+
+    #[test]
+    fn a_carried_track_parents_tracks_but_takes_no_events() {
+        let _g = lock();
+        enable();
+        drain();
+        let (carried, inline_id) = {
+            let _req = TrackGuard::enter("req");
+            let carried = carry().expect("a live track is carried");
+            let inline_id = {
+                let _p = TrackGuard::enter("point0");
+                CTX.with(|c| c.borrow().track)
+            };
+            (carried, inline_id)
+        };
+        std::thread::spawn(move || {
+            adopt(&carried);
+            record(SimEvent::SafeFreq { f_ghz: 1.0 });
+            let _p = TrackGuard::enter("point0");
+            assert_eq!(CTX.with(|c| c.borrow().track), inline_id);
+            record(SimEvent::SafeFreq { f_ghz: 2.0 });
+        })
+        .join()
+        .expect("worker");
+        let log = drain();
+        disable();
+        assert_eq!(log.untracked, 1);
+        assert_eq!(log.len(), 1);
+        assert_eq!(log.track_name(&log.events[0]), "req/point0");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Zero-dependency tracing, metrics and run-provenance for the
 //! Accordion reproduction stack.
 //!
-//! Three cooperating pieces:
+//! Four cooperating pieces:
 //!
 //! * a global, thread-safe **metrics registry** ([`registry`]) of
 //!   counters, gauges and fixed-bucket histograms, addressed by dotted
@@ -12,8 +12,11 @@
 //!   the sink layer;
 //! * pluggable **sinks** ([`sink`]) — a human-readable stderr tracer
 //!   gated by `ACCORDION_TRACE=<off|info|debug>` and a JSONL file sink
-//!   (`ACCORDION_TRACE_JSON=<path>`), plus a per-run provenance
-//!   [`manifest`] renderer.
+//!   (`ACCORDION_TRACE_JSON=<path>`) that both carry span boundaries,
+//!   plus a per-run provenance [`manifest`] renderer;
+//! * the **flight recorder** ([`event`]) — the one carrier of
+//!   structured events: typed [`event::SimEvent`]s on deterministic
+//!   tracks, recorded by [`flight!`] under [`flight_track!`].
 //!
 //! # Near-zero overhead when disabled
 //!
@@ -60,7 +63,6 @@ pub mod span;
 pub mod tsdb;
 
 pub use manifest::RunManifest;
-pub use sink::Level;
 
 /// Looks up a counter by name, caching the handle per call-site.
 #[macro_export]
@@ -106,26 +108,6 @@ macro_rules! span {
             *__CACHE.get_or_init(|| $crate::registry::global().span_stats($name))
         })
     }};
-}
-
-/// Emits a structured point event when any sink listens at `$level`:
-///
-/// ```ignore
-/// trace_event!(Level::Info, "sim.ccdc.watchdog", dc = 3usize, restart = true);
-/// ```
-///
-/// Field expressions are not evaluated when no sink listens.
-#[macro_export]
-macro_rules! trace_event {
-    ($level:expr, $name:expr $(, $key:ident = $value:expr)* $(,)?) => {
-        if $crate::sink::level_enabled($level) {
-            $crate::sink::emit_point(
-                $level,
-                $name,
-                &[$((stringify!($key), $crate::sink::FieldVal::from($value))),*],
-            );
-        }
-    };
 }
 
 /// Records a flight-recorder event (see [`event`]) when the recorder
@@ -182,7 +164,6 @@ mod tests {
         {
             let _span = span!("test.lib.span");
         }
-        trace_event!(crate::Level::Info, "test.lib.event", k = 1u32);
         // Disabled-recorder path: neither evaluates its arguments.
         flight!(crate::event::SimEvent::SafeFreq { f_ghz: 1.0 });
         let _track = flight_track!("test.lib.track{}", 1);

@@ -16,7 +16,7 @@ use crate::prom::{rendered_name, Family, SampleValue};
 
 /// Schema identifier stamped into every manifest, bumped whenever the
 /// layout changes incompatibly.
-pub const MANIFEST_SCHEMA: &str = "accordion.run-manifest/2";
+pub const MANIFEST_SCHEMA: &str = "accordion.run-manifest/3";
 
 /// Accumulates provenance for one run.
 #[derive(Debug)]
@@ -28,7 +28,6 @@ pub struct RunManifest {
     seeds: Vec<(String, u64)>,
     params: Vec<(String, Json)>,
     artifacts: Vec<ArtifactRecord>,
-    extra: Vec<(String, Json)>,
 }
 
 /// Wall-time record of one generated artifact.
@@ -57,7 +56,6 @@ impl RunManifest {
             seeds: Vec::new(),
             params: Vec::new(),
             artifacts: Vec::new(),
-            extra: Vec::new(),
         }
     }
 
@@ -80,11 +78,6 @@ impl RunManifest {
         });
     }
 
-    /// Attaches an arbitrary extra top-level entry.
-    pub fn set(&mut self, key: &str, value: Json) {
-        self.extra.push((key.to_string(), value));
-    }
-
     /// Renders the manifest, appending the global registry's metric
     /// families as an object keyed by exposition name (the "final
     /// metric dump").
@@ -100,7 +93,7 @@ impl RunManifest {
                 ])
             })
             .collect();
-        let mut pairs = vec![
+        let pairs = vec![
             ("schema".to_string(), Json::str(MANIFEST_SCHEMA)),
             ("tool".to_string(), Json::str(&self.tool)),
             ("version".to_string(), Json::str(version_string())),
@@ -135,14 +128,11 @@ impl RunManifest {
                 ),
             ),
             ("artifacts".to_string(), Json::Arr(artifacts)),
+            (
+                "metrics".to_string(),
+                families_json(&crate::registry::global().gather()),
+            ),
         ];
-        for (k, v) in &self.extra {
-            pairs.push((k.clone(), v.clone()));
-        }
-        pairs.push((
-            "metrics".to_string(),
-            families_json(&crate::registry::global().gather()),
-        ));
         Json::Obj(pairs)
     }
 
@@ -252,7 +242,6 @@ mod tests {
         m.record_seed("population", 2014);
         m.record_param("chips", Json::Num(5.0));
         m.record_artifact("fig5b", Duration::from_millis(12), 345);
-        m.set("note", Json::str("unit test"));
         let rendered = m.to_json().render_pretty();
         let parsed = json::parse(&rendered).expect("manifest is valid JSON");
         assert_eq!(

@@ -1,6 +1,8 @@
-//! Pluggable event sinks: a human-readable stderr tracer and a JSONL
+//! Pluggable span sinks: a human-readable stderr tracer and a JSONL
 //! file sink, both behind one cheap global "is anything listening"
-//! check so instrumentation is safe in hot loops.
+//! check so instrumentation is safe in hot loops. The sinks carry span
+//! boundaries only; structured events go to the flight recorder
+//! ([`crate::event`]).
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -15,7 +17,7 @@ use crate::json::Json;
 pub enum Level {
     /// No tracing output.
     Off = 0,
-    /// Span completions and explicit events.
+    /// Span completions.
     Info = 1,
     /// Additionally span entries (nesting becomes visible).
     Debug = 2,
@@ -41,74 +43,6 @@ impl Level {
     }
 }
 
-/// A single field on an event.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FieldVal {
-    /// Unsigned integer.
-    U(u64),
-    /// Signed integer.
-    I(i64),
-    /// Float.
-    F(f64),
-    /// String.
-    S(String),
-    /// Boolean.
-    B(bool),
-}
-
-macro_rules! fieldval_from {
-    ($($t:ty => $variant:ident as $cast:ty),*) => {$(
-        impl From<$t> for FieldVal {
-            fn from(v: $t) -> Self { FieldVal::$variant(v as $cast) }
-        }
-    )*};
-}
-fieldval_from!(u8 => U as u64, u16 => U as u64, u32 => U as u64, u64 => U as u64,
-               usize => U as u64, i8 => I as i64, i16 => I as i64, i32 => I as i64,
-               i64 => I as i64, isize => I as i64, f32 => F as f64, f64 => F as f64);
-
-impl From<bool> for FieldVal {
-    fn from(v: bool) -> Self {
-        FieldVal::B(v)
-    }
-}
-
-impl From<&str> for FieldVal {
-    fn from(v: &str) -> Self {
-        FieldVal::S(v.to_string())
-    }
-}
-
-impl From<String> for FieldVal {
-    fn from(v: String) -> Self {
-        FieldVal::S(v)
-    }
-}
-
-impl FieldVal {
-    fn to_json(&self) -> Json {
-        match self {
-            FieldVal::U(v) => Json::Num(*v as f64),
-            FieldVal::I(v) => Json::Num(*v as f64),
-            FieldVal::F(v) => Json::Num(*v),
-            FieldVal::S(v) => Json::Str(v.clone()),
-            FieldVal::B(v) => Json::Bool(*v),
-        }
-    }
-}
-
-impl std::fmt::Display for FieldVal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FieldVal::U(v) => write!(f, "{v}"),
-            FieldVal::I(v) => write!(f, "{v}"),
-            FieldVal::F(v) => write!(f, "{v:.6}"),
-            FieldVal::S(v) => write!(f, "{v}"),
-            FieldVal::B(v) => write!(f, "{v}"),
-        }
-    }
-}
-
 /// What happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
@@ -116,8 +50,6 @@ pub enum EventKind {
     SpanStart,
     /// A span completed; `elapsed_ns` is set.
     SpanEnd,
-    /// An explicit point event.
-    Point,
 }
 
 impl EventKind {
@@ -125,7 +57,6 @@ impl EventKind {
         match self {
             EventKind::SpanStart => "span_start",
             EventKind::SpanEnd => "span_end",
-            EventKind::Point => "event",
         }
     }
 }
@@ -147,8 +78,6 @@ pub struct Event<'a> {
     pub elapsed_ns: Option<u64>,
     /// Name of the emitting thread.
     pub thread: &'a str,
-    /// Structured payload.
-    pub fields: &'a [(&'a str, FieldVal)],
 }
 
 impl Event<'_> {
@@ -164,17 +93,6 @@ impl Event<'_> {
         ];
         if let Some(ns) = self.elapsed_ns {
             pairs.push(("elapsed_ns".to_string(), Json::Num(ns as f64)));
-        }
-        if !self.fields.is_empty() {
-            pairs.push((
-                "fields".to_string(),
-                Json::Obj(
-                    self.fields
-                        .iter()
-                        .map(|(k, v)| (k.to_string(), v.to_json()))
-                        .collect(),
-                ),
-            ));
         }
         Json::Obj(pairs)
     }
@@ -277,22 +195,6 @@ pub fn next_seq() -> u64 {
     SEQ.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Emits an explicit point event (used by the `trace_event!` macro).
-pub fn emit_point(level: Level, name: &str, fields: &[(&str, FieldVal)]) {
-    let thread = std::thread::current();
-    let event = Event {
-        seq: next_seq(),
-        kind: EventKind::Point,
-        level,
-        name,
-        depth: crate::span::current_depth(),
-        elapsed_ns: None,
-        thread: thread.name().unwrap_or("?"),
-        fields,
-    };
-    emit(&event);
-}
-
 /// Human-readable tracer writing to stderr.
 pub struct StderrSink;
 
@@ -317,13 +219,6 @@ impl Sink for StderrSink {
                     line.push_str(&format!(" ({})", fmt_ns(ns)));
                 }
             }
-            EventKind::Point => {
-                line.push_str("• ");
-                line.push_str(event.name);
-            }
-        }
-        for (k, v) in event.fields {
-            line.push_str(&format!(" {k}={v}"));
         }
         eprintln!("{line}");
     }
@@ -388,26 +283,24 @@ mod tests {
 
     #[test]
     fn event_json_shape() {
-        let fields = [
-            ("mode", FieldVal::from("drop")),
-            ("n", FieldVal::from(3u32)),
-        ];
         let e = Event {
             seq: 7,
-            kind: EventKind::Point,
-            level: Level::Info,
-            name: "sim.fault",
+            kind: EventKind::SpanStart,
+            level: Level::Debug,
+            name: "sim.phases.app",
             depth: 2,
             elapsed_ns: None,
             thread: "main",
-            fields: &fields,
         };
         let j = e.to_json();
-        assert_eq!(j.get("kind").and_then(Json::as_str), Some("event"));
-        assert_eq!(j.get("name").and_then(Json::as_str), Some("sim.fault"));
-        let f = j.get("fields").expect("fields");
-        assert_eq!(f.get("mode").and_then(Json::as_str), Some("drop"));
-        assert_eq!(f.get("n").and_then(Json::as_f64), Some(3.0));
+        assert_eq!(j.get("kind").and_then(Json::as_str), Some("span_start"));
+        assert_eq!(j.get("level").and_then(Json::as_str), Some("debug"));
+        assert_eq!(j.get("name").and_then(Json::as_str), Some("sim.phases.app"));
+        assert_eq!(j.get("depth").and_then(Json::as_f64), Some(2.0));
+        assert!(
+            j.get("elapsed_ns").is_none(),
+            "only span ends carry a duration"
+        );
     }
 
     #[test]

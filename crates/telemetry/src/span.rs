@@ -16,11 +16,6 @@ thread_local! {
     static DEPTH: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Current span nesting depth on this thread.
-pub fn current_depth() -> usize {
-    DEPTH.with(Cell::get)
-}
-
 /// RAII timer for one scope; created by the [`crate::span!`] macro.
 #[must_use = "binding the guard to `_` drops it immediately; use `let _span = span!(..)`"]
 pub struct SpanGuard {
@@ -95,7 +90,6 @@ fn emit(kind: EventKind, level: Level, stats: &SpanStats, depth: usize, elapsed_
             depth,
             elapsed_ns,
             thread: thread.name().unwrap_or("?"),
-            fields: &[],
         });
     }
 }
@@ -103,6 +97,10 @@ fn emit(kind: EventKind, level: Level, stats: &SpanStats, depth: usize, elapsed_
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn current_depth() -> usize {
+        DEPTH.with(Cell::get)
+    }
 
     // One test body: `set_timing` flips process-global state, so the
     // inert and active behaviors must be checked in a fixed order.

@@ -17,7 +17,7 @@ use crate::sram::SramModel;
 use crate::vmap::ChipVariation;
 use accordion_stats::field::FieldError;
 use accordion_stats::rng::SeedStream;
-use accordion_telemetry::{counter, flight_track, span, trace_event, Level};
+use accordion_telemetry::{counter, flight_track, span};
 use accordion_vlsi::freq::FreqModel;
 use std::ops::Range;
 
@@ -67,13 +67,6 @@ pub fn generate(
     seed: SeedStream,
 ) -> Result<Vec<ChipSample>, FieldError> {
     let _span = span!("varius.population.generate");
-    trace_event!(
-        Level::Info,
-        "varius.population.start",
-        chips = chips.len(),
-        seed = seed.seed(),
-        sites = plan.mem_sites.len() + plan.core_sites_mm.len(),
-    );
     // The sampler comes from the process-wide cache: sweep
     // artifacts that revisit the same (plan, φ, technology)
     // structure reuse one envelope factorization.

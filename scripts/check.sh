@@ -58,12 +58,24 @@ if [ "$fast" -eq 0 ]; then
         validate-trace "$smoke_dir/trace.json"
 
     # Manifest smoke: the run manifest dumps the registry's gathered
-    # families (the walk `/metrics` renders) under schema 2.
+    # families (the walk `/metrics` renders) under schema 3.
     echo "==> repro tab1 --manifest smoke"
     cargo run --release -q -p accordion-bench --bin repro -- \
         tab1 --manifest "$smoke_dir/manifest.json" > /dev/null
-    grep -q '"schema": "accordion.run-manifest/2"' "$smoke_dir/manifest.json"
+    grep -q '"schema": "accordion.run-manifest/3"' "$smoke_dir/manifest.json"
     grep -q '"pool_tasks_total"' "$smoke_dir/manifest.json"
+
+    # Span-sink smoke: the JSONL sink carries span boundaries only;
+    # structured events belong to the flight recorder.
+    echo "==> repro tab1 --trace-json smoke"
+    cargo run --release -q -p accordion-bench --bin repro -- \
+        tab1 --trace-json "$smoke_dir/trace.jsonl" > /dev/null
+    grep -q '"kind":"span_end","level":"info","name":"bench.artifact.tab1"' \
+        "$smoke_dir/trace.jsonl"
+    if grep -q '"kind":"event"' "$smoke_dir/trace.jsonl"; then
+        echo "FAIL: the span sink carried a point event" >&2
+        exit 1
+    fi
 
     # Service smoke: boot `repro serve` on a fixed local port, hit the
     # health and simulate endpoints, then stop it cooperatively. Proves

@@ -207,45 +207,71 @@ fn flight_recorder_captures_per_request_span_trees() {
     warm_popcache();
     accordion_telemetry::sink::set_timing(true);
     accordion_telemetry::event::enable();
-    let handle = start(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        handler_threads: 1,
-        request_jobs: 2,
-        ..ServeConfig::default()
-    })
-    .expect("bind");
-    let addr = handle.addr();
-    assert!(post(addr, "/v1/simulate", &small_sim(4)).starts_with("HTTP/1.1 200"));
-    // A sweep body unique to this test: sweeps coalesce process-wide,
-    // and per-point tracks only exist for a real (non-replayed)
-    // fan-out, so reusing another test's grid would race test order.
-    let sweep = r#"{"app": "hotspot", "topo": "small", "chips": 2, "pop_seed": 8211,
-                    "seed": 404, "vdd_mv": [550, 600], "size": [0.5, 1.0]}"#;
-    assert!(post(addr, "/v1/sweep", sweep).starts_with("HTTP/1.1 200"));
-    handle.shutdown();
-    let log = accordion_telemetry::event::drain();
-    accordion_telemetry::event::disable();
+    accordion_telemetry::event::drain();
+    for request_jobs in [1, 2] {
+        let handle = start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            handler_threads: 1,
+            request_jobs,
+            ..ServeConfig::default()
+        })
+        .expect("bind");
+        let addr = handle.addr();
+        assert!(post(addr, "/v1/simulate", &small_sim(4)).starts_with("HTTP/1.1 200"));
+        // Sweep bodies unique to this test and job count: sweeps
+        // coalesce process-wide, and per-point tracks only exist for a
+        // real (non-replayed) fan-out, so reusing a grid would race
+        // test order.
+        let sweep = |axes: &str| {
+            format!(
+                r#"{{"app": "hotspot", "topo": "small", "chips": 2, "pop_seed": 8211,
+                     "seed": {}, {axes}}}"#,
+                400 + request_jobs
+            )
+        };
+        let grid = sweep(r#""vdd_mv": [550, 600], "size": [0.5, 1.0]"#);
+        assert!(post(addr, "/v1/sweep", &grid).starts_with("HTTP/1.1 200"));
+        let point = sweep(r#""vdd_mv": [550], "size": [0.5]"#);
+        assert!(post(addr, "/v1/sweep", &point).starts_with("HTTP/1.1 200"));
+        handle.shutdown();
+        let log = accordion_telemetry::event::drain();
 
-    // Every request got its own deterministic track, named by
-    // accept-order id; the sweep's fan-out points nest under it.
-    let names: Vec<&str> = log.track_names.values().map(String::as_str).collect();
-    assert!(
-        names.contains(&"req00000001"),
-        "request track missing: {names:?}"
-    );
-    assert!(
-        names.iter().any(|n| n.starts_with("req00000002/point")),
-        "sweep per-point tracks missing: {names:?}"
-    );
+        // Every request got its own deterministic track, named by
+        // accept-order id; a sweep's fan-out points nest under it
+        // whether they ran inline or on pool workers.
+        let names: Vec<&str> = log.track_names.values().map(String::as_str).collect();
+        assert!(
+            names.contains(&"req00000001"),
+            "request track missing: {names:?}"
+        );
+        let mut points: Vec<&str> = names
+            .iter()
+            .copied()
+            .filter(|n| n.contains("point"))
+            .collect();
+        points.sort_unstable();
+        assert_eq!(
+            points,
+            [
+                "req00000002/point0",
+                "req00000002/point1",
+                "req00000002/point2",
+                "req00000002/point3",
+                "req00000003/point0",
+            ],
+            "point tracks at request_jobs {request_jobs}"
+        );
 
-    // The Chrome rendering carries the serve-stage span tree.
-    let rendered = accordion_telemetry::chrome::chrome_trace(&log, false).render();
-    for needle in [
-        "serve.parse",
-        "serve.handle",
-        "serve.serialize",
-        "serve.request",
-    ] {
-        assert!(rendered.contains(needle), "{needle} missing from trace");
+        // The Chrome rendering carries the serve-stage span tree.
+        let rendered = accordion_telemetry::chrome::chrome_trace(&log, false).render();
+        for needle in [
+            "serve.parse",
+            "serve.handle",
+            "serve.serialize",
+            "serve.request",
+        ] {
+            assert!(rendered.contains(needle), "{needle} missing from trace");
+        }
     }
+    accordion_telemetry::event::disable();
 }

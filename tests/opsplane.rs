@@ -12,9 +12,10 @@
 //!   recorder track (the per-request track the server registered),
 //! * `served_alerts_firing` on `/metrics` agrees with `/v1/alerts`,
 //! * sheds are answered requests: a flood shed by a pinned one-worker
-//!   server raises the request and 5xx totals by every 503, and a shed
-//!   burn-rate rule measures a finite burn while nothing else is
-//!   answered.
+//!   server raises the request and 5xx totals by every 503, the one
+//!   shed series on `/metrics` by exactly the 503s (agreeing with
+//!   `/healthz`), and a shed burn-rate rule measures a finite burn
+//!   while nothing else is answered.
 //!
 //! Timing: the latency histogram window is shrunk to 1.5 s (see
 //! `ServeConfig::latency_window_s`) so the spike decays within the
@@ -242,6 +243,15 @@ fn slo_alert_walks_full_lifecycle_with_visible_spike_and_exemplar() {
     shed_flood_counts_and_burns();
 }
 
+/// `served_http_requests_by_outcome_total{outcome="shed"}` on
+/// `/metrics`; 0 until the first shed registers the series.
+fn shed_series(addr: SocketAddr) -> u64 {
+    body_of(&get(addr, "/metrics"))
+        .lines()
+        .find_map(|l| l.strip_prefix("served_http_requests_by_outcome_total{outcome=\"shed\"} "))
+        .map_or(0, |v| v.trim().parse().expect("integer shed count"))
+}
+
 /// Pins a one-worker, one-slot server for 2.2 s and floods it with a
 /// request every 100 ms: one request waits in the queue and the rest
 /// shed with 503. This binary runs no other server now, so the global
@@ -282,6 +292,7 @@ fn shed_flood_counts_and_burns() {
         )
     };
     let before = totals();
+    let sheds_before = shed_series(addr);
 
     let pin = std::thread::spawn(move || post(addr, "/v1/debug/sleep", r#"{"ms": 2200}"#));
     std::thread::sleep(Duration::from_millis(50));
@@ -309,6 +320,16 @@ fn shed_flood_counts_and_burns() {
         after.1 - before.1 >= shed as u64,
         "served.http.responses.5xx rose {} for {shed} sheds",
         after.1 - before.1
+    );
+    // One shed series on /metrics, counting exactly the 503s the
+    // clients saw, and agreeing with /healthz.
+    let sheds = shed_series(addr);
+    assert_eq!(sheds - sheds_before, shed as u64, "shed series vs 503s");
+    let health = json::parse(&body_of(&get(addr, "/healthz"))).expect("healthz JSON");
+    assert_eq!(
+        health.get("shed").and_then(Json::as_f64),
+        Some(sheds as f64),
+        "/healthz shed vs the shed series"
     );
 
     // Only sheds were answered inside the last fast window, so the

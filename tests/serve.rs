@@ -17,7 +17,10 @@
 //!   well-behaved client nor holds its socket forever (408 eviction),
 //!   and a slow *reader* still receives a large response completely,
 //! * a body nested far deeper than any real request is a `400`, not
-//!   a stack overflow that takes the process down.
+//!   a stack overflow that takes the process down,
+//! * an artifact is generated inside the request's handler and
+//!   answered with a `Content-Length` body; a bad `chips` is a `400`
+//!   and an unknown id a `404`.
 //!
 //! The server resolves its parallelism from explicit `ServeConfig`
 //! fields (`request_jobs`), not the process-global `set_jobs`
@@ -568,5 +571,43 @@ fn deeply_nested_body_is_rejected_and_the_server_survives() {
         &reply[..reply.len().min(200)]
     );
     assert!(get(addr, "/healthz").starts_with("HTTP/1.1 200"));
+    handle.shutdown();
+}
+
+#[test]
+fn artifacts_are_answered_with_a_content_length_body() {
+    use accordion_bench::registry::{generate, ARTIFACTS};
+    let handle = start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        handler_threads: 1,
+        artifacts: Some(accordion_served::ArtifactSource {
+            ids: ARTIFACTS,
+            generate,
+        }),
+        ..ServeConfig::default()
+    })
+    .expect("bind test server");
+    let addr = handle.addr();
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    conn.write_all(b"GET /v1/artifacts/tab1?chips=2 HTTP/1.1\r\nHost: t\r\n\r\n")
+        .expect("send");
+    let (head, body) = read_framed(&mut conn);
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert!(
+        !head.to_ascii_lowercase().contains("transfer-encoding"),
+        "{head}"
+    );
+    assert_eq!(
+        String::from_utf8(body).expect("UTF-8 report"),
+        generate("tab1", 2).expect("tab1 is registered")
+    );
+    for path in ["/v1/artifacts/tab1?chips=0", "/v1/artifacts/tab1?chips=101"] {
+        let reply = get(addr, path);
+        assert!(reply.starts_with("HTTP/1.1 400"), "{path}: {reply}");
+    }
+    let reply = get(addr, "/v1/artifacts/nope");
+    assert!(reply.starts_with("HTTP/1.1 404"), "{reply}");
     handle.shutdown();
 }
