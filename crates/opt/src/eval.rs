@@ -6,8 +6,10 @@
 //!
 //! * a **per-supply timing-context cache** — [`OperatingTimings`]
 //!   derivation (per-core critical-path statistics at a given `Vdd`)
-//!   is the expensive part of an evaluation, and adjacent candidates
-//!   (a bisection step, a mutated neighbour) usually share a supply.
+//!   is the expensive part of an evaluation, and candidates that
+//!   differ only in cluster count, size or guardband share one: a
+//!   mutated neighbour often does, and iso bisections at different
+//!   cluster counts share their bracket ends and first midpoints.
 //!   Contexts are keyed by integer millivolts and kept in a small
 //!   per-evaluator [`Memo`] (`opt.ctx_cache`, LRU); `OperatingTimings::at`
 //!   is a pure function of `(chip, vdd)`, so eviction can never change
@@ -40,9 +42,12 @@ use accordion_pool::Memo;
 use accordion_sim::exec::ExecModel;
 use std::sync::Arc;
 
-/// Timing contexts kept live per evaluator (LRU); large enough for a
-/// bisection's working set, small enough that a long NSGA-II run over
-/// the full 900 mV range cannot hoard hundreds of contexts.
+/// Timing contexts kept live per evaluator (LRU). Smaller than a
+/// request's working set: a paper-topology `explore` request visits
+/// about 134 supplies and derives about 152 contexts (its iso
+/// extraction alone 80 and 90), so some are derived again after
+/// eviction. The bound keeps a long NSGA-II run over the full 900 mV
+/// range from hoarding hundreds of contexts.
 const CTX_CAPACITY: usize = 32;
 
 /// One evaluated candidate with everything the objectives, the

@@ -65,7 +65,7 @@ pub fn optimize_report(req: &OptimizeRequest, workers: usize) -> Result<Json, St
     let outcome = nsga::optimize(&eval, &cfg, workers);
     let iso = if req.iso {
         let targets = IsoTargets::paper_default(&eval);
-        Some(iso::extract(&eval, &cfg.space, &targets))
+        Some(iso::extract_with(&eval, &cfg.space, &targets, workers))
     } else {
         None
     };

@@ -45,6 +45,42 @@ fn same_seed_same_bytes_at_any_worker_count() {
     assert_eq!(a, c, "warm caches must never change the bytes");
 }
 
+/// The paper's 36-cluster chip: 6 cluster steps, so iso extraction
+/// runs up to 18 bisections, the shape of a designer's request.
+fn paper_request() -> OptimizeRequest {
+    OptimizeRequest {
+        topo: Topology::paper_default(),
+        chips: 8,
+        chip: 3,
+        cfg: OptConfig {
+            population: 8,
+            generations: 2,
+            space: KnobSpace::full(36),
+            ..request(7).cfg
+        },
+        ..request(7)
+    }
+}
+
+#[test]
+fn paper_topology_reports_are_byte_identical_at_any_worker_count() {
+    let a = optimize_report(&paper_request(), 1).expect("report");
+    let iso = a.get("iso").expect("iso section");
+    for curve in ["iso_power", "iso_time", "iso_quality"] {
+        assert!(
+            matches!(iso.get(curve), Some(Json::Arr(points)) if !points.is_empty()),
+            "{curve} has points"
+        );
+    }
+    let a = a.render();
+    for workers in [2, 8] {
+        let b = optimize_report(&paper_request(), workers)
+            .expect("report")
+            .render();
+        assert_eq!(a, b, "{workers} workers must not change the bytes");
+    }
+}
+
 #[test]
 fn front_dominates_the_seeded_grid_and_respects_constraints() {
     let doc = optimize_report(&request(11), 4).expect("report");

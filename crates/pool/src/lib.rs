@@ -40,12 +40,20 @@
 //! `jobs() == 1` runs every combinator on the calling thread with no
 //! worker threads at all — the old sequential path.
 //!
+//! A map over `w > 1` workers splits the indices into `w` contiguous
+//! shares. The calling thread runs share 0 itself and spawns `w − 1`
+//! scoped threads, `pool-w1` … `pool-w{w−1}`, for the others; any of
+//! them steals from the others' tails when its own share runs dry. So
+//! `pool.workers_spawned` counts `w − 1` per map, and a request's
+//! maps cost one thread spawn fewer each than with a worker per share.
+//!
 //! # Panics
 //!
-//! A panic inside a task is caught on the worker, the remaining work
-//! is abandoned, and the first payload is re-raised on the calling
-//! thread once the map's threads have been joined — the pool itself is
-//! never poisoned, and the next call starts clean.
+//! A panic inside a task, on a spawned worker or in the caller's own
+//! share, is caught there, the remaining work is abandoned, and the
+//! first payload is re-raised on the calling thread once the map's
+//! threads have been joined — the pool itself is never poisoned, and
+//! the next call starts clean.
 //!
 //! # Example
 //!
@@ -66,8 +74,16 @@
 //! Workers carry the calling thread's live flight-recorder track
 //! (`accordion_telemetry::event::carry`) as the parent of the tracks
 //! their tasks enter, so a track entered inside a task has the same
-//! full name and id whether the task runs inline or on a worker. With
-//! the recorder off this costs one relaxed load per map.
+//! full name and id whether the task runs inline or on a worker. The
+//! caller adopts the same carried track while it runs share 0, so a
+//! task records exactly what it would on a worker (nothing lands on
+//! the caller's live track itself). With the recorder off this costs
+//! one relaxed load per map.
+//!
+//! Host lanes (the Chrome host view): `pool-w{k}` records on lane
+//! `k + 1` (`worker-k`), and the caller's share records on the
+//! caller's own lane — lane 0 (`main`) for the main thread — so lane
+//! 1 (`worker-0`) stays empty.
 
 #![deny(missing_docs)]
 
@@ -125,9 +141,10 @@ fn run_one<R>(f: impl FnOnce() -> R) -> R {
 /// Parallel map over an index range with results in index order.
 ///
 /// Equivalent to `(0..n).map(f).collect()` — bit-identical for pure
-/// `f` — but executed on [`jobs`] work-stealing workers. Each worker
-/// starts on its own contiguous block (cache-friendly) and steals from
-/// the tail of other blocks when it runs dry.
+/// `f` — but executed on [`jobs`] work-stealing workers, the calling
+/// thread among them. Each worker starts on its own contiguous block
+/// (cache-friendly) and steals from the tail of other blocks when it
+/// runs dry.
 ///
 /// # Panics
 ///
@@ -182,34 +199,41 @@ where
         })
         .collect();
     let panicked: Mutex<Option<PanicPayload>> = Mutex::new(None);
+    // Worker `w`'s loop: its own block, then steals, until every index
+    // is claimed or a task has panicked.
+    let work = |w: usize| loop {
+        let i = {
+            let own = queues[w].lock().expect("pool queue lock").pop_front();
+            match own.or_else(|| steal_index(&queues, w)) {
+                Some(i) => i,
+                None => return, // every index claimed
+            }
+        };
+        if panicked.lock().expect("pool panic lock").is_some() {
+            return; // abandon remaining work after a panic
+        }
+        match catch_unwind(AssertUnwindSafe(|| run_one(|| f(i)))) {
+            Ok(v) => *slots[i].lock().expect("pool slot lock") = Some(v),
+            Err(p) => {
+                let mut slot = panicked.lock().expect("pool panic lock");
+                if slot.is_none() {
+                    *slot = Some(p);
+                }
+                return;
+            }
+        }
+    };
 
     let parent = accordion_telemetry::event::carry();
     std::thread::scope(|s| {
-        for w in 0..workers {
-            let (slots, queues, panicked, f) = (&slots, &queues, &panicked, &f);
-            spawn_worker(s, w, parent.as_ref(), move || loop {
-                let i = {
-                    let own = queues[w].lock().expect("pool queue lock").pop_front();
-                    match own.or_else(|| steal_index(queues, w)) {
-                        Some(i) => i,
-                        None => return, // every index claimed
-                    }
-                };
-                if panicked.lock().expect("pool panic lock").is_some() {
-                    return; // abandon remaining work after a panic
-                }
-                match catch_unwind(AssertUnwindSafe(|| run_one(|| f(i)))) {
-                    Ok(v) => *slots[i].lock().expect("pool slot lock") = Some(v),
-                    Err(p) => {
-                        let mut slot = panicked.lock().expect("pool panic lock");
-                        if slot.is_none() {
-                            *slot = Some(p);
-                        }
-                        return;
-                    }
-                }
-            });
+        let work = &work;
+        for w in 1..workers {
+            spawn_worker(s, w, parent.as_ref(), move || work(w));
         }
+        // The caller runs share 0 under the carried track, as a worker
+        // would, so its tasks record exactly what they would there.
+        let _adopted = parent.as_ref().map(accordion_telemetry::event::adopt);
+        work(0);
     });
 
     if let Some(p) = panicked.into_inner().expect("pool panic lock") {
@@ -241,9 +265,7 @@ fn spawn_worker<'scope, 'env: 'scope>(
         .spawn_scoped(s, move || {
             counter!("pool.workers_spawned").inc();
             accordion_telemetry::event::set_lane(w as u32 + 1);
-            if let Some(parent) = parent {
-                accordion_telemetry::event::adopt(parent);
-            }
+            let _adopted = parent.map(accordion_telemetry::event::adopt);
             body()
         })
         .expect("spawn pool worker");
@@ -358,14 +380,61 @@ mod tests {
 
     #[test]
     fn workers_are_named_for_profilers() {
-        let names = with_jobs(4, || {
-            par_map_indexed(16, |_| std::thread::current().name().map(str::to_string))
+        let caller = std::thread::current().id();
+        let runners = with_jobs(4, || {
+            par_map_indexed(16, |_| {
+                let t = std::thread::current();
+                (t.id(), t.name().map(str::to_string))
+            })
         });
+        let spawned = |name: &str| {
+            name.strip_prefix("pool-w")
+                .and_then(|k| k.parse::<usize>().ok())
+                .is_some_and(|k| (1..4).contains(&k))
+        };
         assert!(
-            names
+            runners
                 .iter()
-                .all(|n| n.as_deref().is_some_and(|s| s.starts_with("pool-w"))),
-            "worker threads must carry pool-w<N> names: {names:?}"
+                .all(|(id, name)| *id == caller || name.as_deref().is_some_and(spawned)),
+            "tasks run on the caller or on pool-w1..pool-w3: {runners:?}"
+        );
+    }
+
+    #[test]
+    fn a_panic_in_the_callers_share_is_reraised_after_the_workers_join() {
+        use std::sync::atomic::AtomicBool;
+        let caller = std::thread::current().id();
+        let released = AtomicBool::new(false);
+        let running = AtomicUsize::new(0);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            par_map_indexed_with(4, 8, |i| {
+                if std::thread::current().id() == caller {
+                    released.store(true, Ordering::SeqCst);
+                    panic!("caller share {i}");
+                }
+                // Each worker holds its first task until the caller's
+                // share has panicked, so the caller's block is never
+                // stolen before the caller reaches it.
+                running.fetch_add(1, Ordering::SeqCst);
+                while !released.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                // Still running well after the caller's panic: a
+                // re-raise before the join would see `running > 0`.
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                running.fetch_sub(1, Ordering::SeqCst);
+                i
+            })
+        }));
+        let payload = outcome.expect_err("the caller's panic is re-raised");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("caller share 0")
+        );
+        assert_eq!(running.load(Ordering::SeqCst), 0, "workers joined first");
+        assert_eq!(
+            par_map_indexed_with(4, 8, |i| i * 3),
+            (0..8).map(|i| i * 3).collect::<Vec<_>>()
         );
     }
 

@@ -71,7 +71,9 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker threads — the number of requests in service at once.
     pub handler_threads: usize,
-    /// Pool workers available to a single request (sweep fan-out).
+    /// Pool workers available to a single request (sweep fan-out,
+    /// optimizer batches and iso bisections); the handler thread runs
+    /// one share of each map itself.
     pub request_jobs: usize,
     /// Parsed-but-unhandled request cap; beyond it, `503`.
     pub queue_capacity: usize,
@@ -1303,7 +1305,8 @@ fn metrics(shared: &Shared) -> Response {
 
 /// Decodes `%XX` escapes (and `+` as space) in a query-string value.
 /// Series ids contain `{`, `"` and `=`, which well-behaved clients
-/// percent-encode; malformed escapes pass through literally.
+/// percent-encode; malformed escapes (anything but two ASCII hex
+/// digits after the `%`) pass through literally.
 fn percent_decode(s: &str) -> String {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
@@ -1311,13 +1314,15 @@ fn percent_decode(s: &str) -> String {
     while i < bytes.len() {
         match bytes[i] {
             b'%' if i + 2 < bytes.len() => {
-                let hex = std::str::from_utf8(&bytes[i + 1..i + 3]).ok();
-                match hex.and_then(|h| u8::from_str_radix(h, 16).ok()) {
-                    Some(b) => {
-                        out.push(b);
+                // Two ASCII hex digits: `from_str_radix` alone would
+                // also take a sign, `%+5`.
+                let digit = |b: u8| char::from(b).to_digit(16);
+                match (digit(bytes[i + 1]), digit(bytes[i + 2])) {
+                    (Some(hi), Some(lo)) => {
+                        out.push((hi * 16 + lo) as u8);
                         i += 3;
                     }
-                    None => {
+                    _ => {
                         out.push(b'%');
                         i += 1;
                     }
@@ -1636,6 +1641,60 @@ mod tests {
         // Malformed escapes pass through literally.
         assert_eq!(percent_decode("100%"), "100%");
         assert_eq!(percent_decode("%zz"), "%zz");
+        // A sign is not a hex digit: `%+5` is a `%`, a space and `5`.
+        assert_eq!(percent_decode("%+5"), "% 5");
+        assert_eq!(percent_decode("%-5"), "%-5");
+    }
+
+    /// Escapes every byte a series id may carry besides
+    /// `[A-Za-z0-9_:.]`, as a client would.
+    fn percent_encode(s: &str) -> String {
+        s.bytes()
+            .map(|b| match b {
+                b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'_' | b':' | b'.' => {
+                    char::from(b).to_string()
+                }
+                _ => format!("%{b:02X}"),
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+        #[test]
+        fn percent_decode_never_panics_on_random_bytes(
+            bytes in proptest::collection::vec(0u8..=255, 0..24),
+            pick in proptest::collection::vec(0usize..8, 0..24),
+        ) {
+            // Raw bytes, and a soup of the bytes escapes are made of.
+            const PIECES: [&str; 8] = ["%", "+", "-", "0", "a", "F", "g", "\u{e9}"];
+            let soup: String = pick.iter().map(|&k| PIECES[k]).collect();
+            let _ = percent_decode(&String::from_utf8_lossy(&bytes));
+            let _ = percent_decode(&soup);
+        }
+
+        #[test]
+        fn percent_decode_inverts_encoding_on_series_ids(
+            base in proptest::collection::vec(0usize..38, 1..16),
+            keys in proptest::collection::vec(0usize..38, 0..3),
+            values in proptest::collection::vec(0usize..38, 3..4),
+            suffix in 0usize..3,
+        ) {
+            const NAME: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_.";
+            let word =
+                |ks: &[usize]| ks.iter().map(|&k| char::from(NAME[k])).collect::<String>();
+            let mut id = word(&base);
+            if !keys.is_empty() {
+                let pairs: Vec<String> = keys
+                    .iter()
+                    .zip(&values)
+                    .map(|(&k, &v)| format!("{}=\"{} %+&#\"", word(&[k]), word(&[v])))
+                    .collect();
+                id.push_str(&format!("{{{}}}", pairs.join(",")));
+            }
+            id.push_str(["", ":rate", ":p99"][suffix]);
+            proptest::prop_assert_eq!(percent_decode(&percent_encode(&id)), id);
+        }
     }
 
     #[test]

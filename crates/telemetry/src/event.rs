@@ -33,7 +33,8 @@
 //! [`adopt`]). There it only parents the tracks a worker enters, so a
 //! track entered inside a task has the same full name and id whether
 //! the task runs inline or on a worker; the worker never records on
-//! the carried track itself.
+//! the carried track itself, and neither does the caller while it
+//! runs its own share of the map under the same adoption.
 //!
 //! # Overhead when disabled
 //!
@@ -614,20 +615,37 @@ pub fn carry() -> Option<CarriedTrack> {
 }
 
 /// Makes `carried` the parent of the tracks this thread enters, as on
-/// the thread that carried it. This thread never records on `carried`
-/// itself (its owner is the carrying thread), so an event recorded
-/// here outside a track of its own stays untracked. Called by
-/// `accordion-pool` on each fresh worker thread.
-pub fn adopt(carried: &CarriedTrack) {
-    CTX.with(|c| {
-        *c.borrow_mut() = Ctx {
-            track: carried.id,
-            name: carried.name.clone(),
-            next_seq: 0,
-            sim_cycles: 0,
-            owned: false,
-        };
-    });
+/// the thread that carried it, until the returned guard drops and
+/// restores this thread's own context. Under the guard this thread
+/// never records on `carried` itself, so an event recorded outside a
+/// track of its own stays untracked. `accordion-pool` adopts on each
+/// worker, and on the calling thread while it runs its own share of a
+/// map, so a task records the same events on either.
+pub fn adopt(carried: &CarriedTrack) -> AdoptGuard {
+    let adopted = Ctx {
+        track: carried.id,
+        name: carried.name.clone(),
+        next_seq: 0,
+        sim_cycles: 0,
+        owned: false,
+    };
+    AdoptGuard {
+        prev: Some(CTX.with(|c| std::mem::replace(&mut *c.borrow_mut(), adopted))),
+    }
+}
+
+/// Restores the context a thread had before [`adopt`] when dropped.
+#[must_use = "dropping the guard ends the adoption at once"]
+pub struct AdoptGuard {
+    prev: Option<Ctx>,
+}
+
+impl Drop for AdoptGuard {
+    fn drop(&mut self) {
+        if let Some(prev) = self.prev.take() {
+            CTX.with(|c| *c.borrow_mut() = prev);
+        }
+    }
 }
 
 /// Advances the current track's simulated clock by `cycles`.
@@ -836,7 +854,7 @@ mod tests {
             (carried, inline_id)
         };
         std::thread::spawn(move || {
-            adopt(&carried);
+            let _adopted = adopt(&carried);
             record(SimEvent::SafeFreq { f_ghz: 1.0 });
             let _p = TrackGuard::enter("point0");
             assert_eq!(CTX.with(|c| c.borrow().track), inline_id);
@@ -849,6 +867,28 @@ mod tests {
         assert_eq!(log.untracked, 1);
         assert_eq!(log.len(), 1);
         assert_eq!(log.track_name(&log.events[0]), "req/point0");
+    }
+
+    #[test]
+    fn an_adopt_guard_restores_the_adopting_threads_own_track() {
+        let _g = lock();
+        enable();
+        drain();
+        {
+            let _own = TrackGuard::enter("own");
+            let carried = carry().expect("a live track is carried");
+            {
+                let _adopted = adopt(&carried);
+                record(SimEvent::SafeFreq { f_ghz: 1.0 });
+            }
+            record(SimEvent::SafeFreq { f_ghz: 2.0 });
+        }
+        let log = drain();
+        disable();
+        assert_eq!(log.untracked, 1, "the adopted track takes no events");
+        assert_eq!(log.len(), 1);
+        assert_eq!(log.track_name(&log.events[0]), "own");
+        assert_eq!(log.events[0].seq, 0);
     }
 
     #[test]

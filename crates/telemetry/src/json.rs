@@ -369,10 +369,14 @@ impl Parser<'_> {
                             if self.pos + 4 >= self.bytes.len() {
                                 return Err(self.err("truncated \\u escape"));
                             }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("non-ASCII in \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad hex in \\u escape"))?;
+                            // Four ASCII hex digits: `from_str_radix`
+                            // alone would also take a sign, `\u+041`.
+                            let code = self.bytes[self.pos + 1..self.pos + 5]
+                                .iter()
+                                .try_fold(0, |code, &b| {
+                                    Some(code * 16 + char::from(b).to_digit(16)?)
+                                })
+                                .ok_or_else(|| self.err("bad hex in \\u escape"))?;
                             // Surrogates are not reassembled — the
                             // writer never emits them (it escapes only
                             // control characters).
@@ -454,6 +458,15 @@ mod tests {
         let s = Json::str("a\u{1}b");
         assert_eq!(s.render(), "\"a\\u0001b\"");
         assert_eq!(parse(&s.render()).unwrap(), s);
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041\u00e9""#).unwrap(), Json::str("Aé"));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u00g1""#] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.to_string().contains("bad hex"), "{bad}: {err}");
+        }
     }
 
     #[test]

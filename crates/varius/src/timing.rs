@@ -79,11 +79,14 @@ impl CoreTiming {
         s_vth: f64,
         s_leff: f64,
     ) -> (f64, f64) {
-        let mu_ns = fm.path_delay_ns(vdd_v, vth_delta_v, leff_mult);
+        // The nominal and the long-channel corner share an overdrive,
+        // so one EKV evaluation prices both.
+        let [mu_ns, long_ns] =
+            fm.path_delays_ns(vdd_v, vth_delta_v, [leff_mult, leff_mult * (1.0 + s_leff)]);
         // One-sided differences toward the slow corner: delay is convex
         // in Vth near threshold, and the slow tail is what matters.
         let d_vth = fm.path_delay_ns(vdd_v, vth_delta_v + s_vth, leff_mult) - mu_ns;
-        let d_leff = fm.path_delay_ns(vdd_v, vth_delta_v, leff_mult * (1.0 + s_leff)) - mu_ns;
+        let d_leff = long_ns - mu_ns;
         let sigma_ns = (d_vth * d_vth + d_leff * d_leff).sqrt().max(1e-9 * mu_ns);
         (mu_ns, sigma_ns)
     }
@@ -165,6 +168,89 @@ impl CoreTiming {
 mod tests {
     use super::*;
     use accordion_vlsi::tech::Technology;
+    use proptest::prelude::*;
+
+    /// The three-`path_delay_ns` form of [`CoreTiming::delay_moments`],
+    /// kept as the oracle its shared-overdrive form must equal bit for
+    /// bit.
+    fn delay_moments_oracle(
+        fm: &FreqModel,
+        vdd_v: f64,
+        vth_delta_v: f64,
+        leff_mult: f64,
+        s_vth: f64,
+        s_leff: f64,
+    ) -> (f64, f64) {
+        let mu_ns = fm.path_delay_ns(vdd_v, vth_delta_v, leff_mult);
+        let d_vth = fm.path_delay_ns(vdd_v, vth_delta_v + s_vth, leff_mult) - mu_ns;
+        let d_leff = fm.path_delay_ns(vdd_v, vth_delta_v, leff_mult * (1.0 + s_leff)) - mu_ns;
+        let sigma_ns = (d_vth * d_vth + d_leff * d_leff).sqrt().max(1e-9 * mu_ns);
+        (mu_ns, sigma_ns)
+    }
+
+    /// The calibrated model re-evaluated at `temperature_k`, with the
+    /// moments of a core `vth_sigmas` systematic sigmas off nominal,
+    /// from both forms, as bits.
+    fn both_moments(
+        temperature_k: f64,
+        vdd_v: f64,
+        vth_sigmas: f64,
+        leff_mult: f64,
+    ) -> ([u64; 2], [u64; 2]) {
+        let (fm, p) = fixture();
+        let tech = Technology {
+            temperature_k,
+            ..fm.technology().clone()
+        };
+        let fm = fm.with_technology(&tech);
+        let (s_vth, s_leff) = CoreTiming::path_sigmas(&fm, &p);
+        let dv = vth_sigmas * tech.vth_sigma_v();
+        let (mu, sigma) = CoreTiming::delay_moments(&fm, vdd_v, dv, leff_mult, s_vth, s_leff);
+        let (mu_o, sigma_o) = delay_moments_oracle(&fm, vdd_v, dv, leff_mult, s_vth, s_leff);
+        (
+            [mu.to_bits(), sigma.to_bits()],
+            [mu_o.to_bits(), sigma_o.to_bits()],
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// Draws span the paper's 353 K down to 77 K, where a strong
+        /// overdrive takes `ln(1 + eˣ)`'s `x > 30` branch.
+        #[test]
+        fn delay_moments_equal_the_three_evaluation_oracle(
+            vdd_v in 0.3f64..1.2,
+            vth_sigmas in -6.0f64..6.0,
+            leff_mult in 0.8f64..1.2,
+            temperature_k in 77.0f64..400.0,
+        ) {
+            let (got, want) = both_moments(temperature_k, vdd_v, vth_sigmas, leff_mult);
+            prop_assert_eq!(
+                got,
+                want,
+                "T={} K, Vdd={} V, {} sigma, Leff x{}",
+                temperature_k,
+                vdd_v,
+                vth_sigmas,
+                leff_mult
+            );
+        }
+    }
+
+    #[test]
+    fn delay_moments_equal_the_oracle_on_the_saturated_branch() {
+        // 77 K, 1.2 V, a −6σ threshold: x = overdrive / (2 n φt) > 30.
+        let tech = Technology {
+            temperature_k: 77.0,
+            ..Technology::node_11nm()
+        };
+        let vdd_v = 1.2;
+        let vth = tech.vth_nom_v - 6.0 * tech.vth_sigma_v() - tech.dibl_lambda * vdd_v;
+        let x = (vdd_v - vth) / (2.0 * tech.subthreshold_n * tech.thermal_voltage_v());
+        assert!(x > 30.0, "x = {x}");
+        let (got, want) = both_moments(77.0, vdd_v, -6.0, 0.8);
+        assert_eq!(got, want);
+    }
 
     fn fixture() -> (FreqModel, VariationParams) {
         (

@@ -30,17 +30,43 @@ pub fn drain_current(
     leff_mult: f64,
     theta: f64,
 ) -> f64 {
-    assert!(vdd_v > 0.0, "supply voltage must be positive");
-    assert!(leff_mult > 0.0, "Leff multiplier must be positive");
-    let phi_t = tech.thermal_voltage_v();
-    let n = tech.subthreshold_n;
-    let vth = vth_effective(tech, vdd_v, tech.vth_nom_v + vth_delta_v);
-    let overdrive = vdd_v - vth;
-    let x = overdrive / (2.0 * n * phi_t);
-    // ln(1 + e^x) computed stably for both signs of x.
-    let ln1pex = if x > 30.0 { x } else { x.exp().ln_1p() };
-    let base = n * phi_t * phi_t * ln1pex * ln1pex / leff_mult;
-    base / (1.0 + theta * overdrive.max(0.0))
+    DrainCurrent::at(tech, vdd_v, vth_delta_v, theta).scaled(leff_mult)
+}
+
+/// The `Leff`-independent parts of [`drain_current`] at one overdrive:
+/// the numerator `n φt² · ln²(1 + eˣ)` and the velocity-saturation
+/// denominator `1 + θ·max(0, Vdd − Vth,eff)`. Devices that differ only
+/// in channel length share one of these, and so one `ln(1 + eˣ)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DrainCurrent {
+    num: f64,
+    den: f64,
+}
+
+impl DrainCurrent {
+    /// The parts at `vdd_v` for a threshold shifted by `vth_delta_v`.
+    pub fn at(tech: &Technology, vdd_v: f64, vth_delta_v: f64, theta: f64) -> Self {
+        assert!(vdd_v > 0.0, "supply voltage must be positive");
+        let phi_t = tech.thermal_voltage_v();
+        let n = tech.subthreshold_n;
+        let vth = vth_effective(tech, vdd_v, tech.vth_nom_v + vth_delta_v);
+        let overdrive = vdd_v - vth;
+        let x = overdrive / (2.0 * n * phi_t);
+        // ln(1 + e^x) computed stably for both signs of x.
+        let ln1pex = if x > 30.0 { x } else { x.exp().ln_1p() };
+        Self {
+            num: n * phi_t * phi_t * ln1pex * ln1pex,
+            den: 1.0 + theta * overdrive.max(0.0),
+        }
+    }
+
+    /// The current of a device whose channel length is scaled by
+    /// `leff_mult`: `num / Leff / den`, in [`drain_current`]'s order of
+    /// operations, so both give the same bits.
+    pub fn scaled(self, leff_mult: f64) -> f64 {
+        assert!(leff_mult > 0.0, "Leff multiplier must be positive");
+        self.num / leff_mult / self.den
+    }
 }
 
 /// Normalized sub-threshold leakage current at `Vgs = 0`:

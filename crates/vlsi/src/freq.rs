@@ -7,7 +7,7 @@
 //! anchors: `f(Vdd_NTV) = f_nom` (1 GHz at 0.55 V) and
 //! `f(Vdd_STV) = f_stv` (≈3.3 GHz at 1.0 V) for the 11 nm node.
 
-use crate::device::drain_current;
+use crate::device::{drain_current, DrainCurrent};
 use crate::tech::Technology;
 
 /// A calibrated frequency model for one technology node.
@@ -103,6 +103,15 @@ impl FreqModel {
     /// Critical-path delay in nanoseconds (inverse of frequency).
     pub fn path_delay_ns(&self, vdd_v: f64, vth_delta_v: f64, leff_mult: f64) -> f64 {
         1.0 / self.frequency_ghz(vdd_v, vth_delta_v, leff_mult)
+    }
+
+    /// [`Self::path_delay_ns`] of two devices that share a threshold
+    /// deviation and differ only in channel length, from one EKV
+    /// overdrive evaluation; each delay has the same bits as its own
+    /// `path_delay_ns` call.
+    pub fn path_delays_ns(&self, vdd_v: f64, vth_delta_v: f64, leff_mults: [f64; 2]) -> [f64; 2] {
+        let current = DrainCurrent::at(&self.tech, vdd_v, vth_delta_v, self.theta);
+        leff_mults.map(|leff_mult| 1.0 / (self.k_path * current.scaled(leff_mult) / vdd_v))
     }
 
     /// Sensitivity `|d(delay)/d(Vth)| / delay` (per volt) at the given

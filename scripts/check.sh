@@ -144,6 +144,18 @@ if [ "$fast" -eq 0 ]; then
     grep -q '"dominated": true' "$smoke_dir/optimize-cli.json"
     grep -q '"front"' "$smoke_dir/optimize-cli.json"
 
+    # The paper topology's request shape (6 cluster steps, 18 iso
+    # bisections over the pool) must render the same report bytes on
+    # one worker and on eight.
+    echo "==> repro optimize --jobs 1 vs --jobs 8 (paper topology)"
+    for jobs in 1 8; do
+        cargo run --release -q -p accordion-bench --bin repro -- \
+            optimize --app canneal --topo default --chips 8 --chip 3 \
+            --population 8 --generations 2 --grid-check 3 --jobs "$jobs" \
+            --json "$smoke_dir/optimize-jobs$jobs.json" 2> /dev/null
+    done
+    cmp "$smoke_dir/optimize-jobs1.json" "$smoke_dir/optimize-jobs8.json"
+
     # Alert-rule lint: the shipped example rules must parse with the
     # server's own parser (`repro serve --alerts` would reject what
     # this rejects).
