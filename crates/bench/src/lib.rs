@@ -7,6 +7,7 @@
 //! integration tests assert the *shapes* the paper reports (who wins,
 //! by what factor, where crossovers fall).
 
+pub mod cli;
 pub mod dash;
 pub mod figures;
 pub mod loadtest;

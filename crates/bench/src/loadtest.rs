@@ -78,7 +78,7 @@ pub struct LoadConfig {
     pub keepalive: bool,
     /// Requests written back-to-back before reading responses
     /// (HTTP/1.1 pipelining). Only meaningful with `keepalive`; 1
-    /// disables. The server's `max_pipeline` (default 32) bounds the
+    /// disables. The server's 32-request pipelining window bounds the
     /// useful depth.
     pub pipeline: usize,
 }

@@ -1,7 +1,8 @@
 //! Artifact registry: maps artifact ids to their generators, shared by
 //! the `repro` binary and the test suite (so `repro all` can never
-//! silently rot).
+//! silently rot), and renders the usage and `repro list` texts.
 
+use crate::cli::COMMANDS;
 use crate::figures::{ablate, errmodel, extensions, fig1, fig2, fig5, fig6, headline, tables};
 use accordion_telemetry::counter;
 
@@ -104,71 +105,12 @@ pub const ARTIFACT_SUMMARIES: &[(&str, &str)] = &[
     ("ext-thermal", "Extension: thermal feedback loop"),
 ];
 
-/// A `repro` subcommand, for generated usage/help text.
-pub struct Subcommand {
-    /// Invocation syntax.
-    pub usage: &'static str,
-    /// One-line description.
-    pub help: &'static str,
-}
-
-/// Every `repro` subcommand. The CLI renders its usage and `repro
-/// list` output from this table so the help text can never drift from
-/// what the binary actually dispatches on.
-pub const SUBCOMMANDS: &[Subcommand] = &[
-    Subcommand {
-        usage: "repro <artifact|all> [--chips N] [--jobs N] [--csv DIR] [--trace L] [--trace-json F] [--chrome-trace F] [--manifest F]",
-        help: "regenerate one artifact (or every one) on stdout",
-    },
-    Subcommand {
-        usage: "repro list",
-        help: "enumerate artifacts and subcommands, one per line",
-    },
-    Subcommand {
-        usage: "repro serve [--addr HOST:PORT] [--jobs N] [--threads N] [--queue N] [--access-log F] [--no-log-timing] [--chrome-trace F] [--no-keepalive] [--timeout S] [--idle-timeout S] [--max-pipeline N] [--alerts F] [--scrape-interval MS] [--no-scrape]",
-        help: "run the batched, cached HTTP simulation service",
-    },
-    Subcommand {
-        usage: "repro loadtest [--addr HOST:PORT] [--mode closed|open] [--rate R] [--connections N] [--duration S] [--warmup S] [--seed N] [--json F] [--keepalive] [--pipeline N] [--no-scrape]",
-        help: "measure serving latency/throughput with a seeded request mix",
-    },
-    Subcommand {
-        usage: "repro optimize [--app NAME] [--topo default|small] [--seed N] [--pop-seed N] [--chips N] [--chip N] [--population N] [--generations N] [--scout-steps N] [--quality-floor Q] [--power-budget W] [--time-budget S] [--grid-check STEPS] [--no-iso] [--json F] [--jobs N]",
-        help: "search the knob space: iso-metric fronts + a seeded NSGA-II Pareto front",
-    },
-    Subcommand {
-        usage: "repro profile <artifact|all> [same flags as repro <artifact>]",
-        help: "run with the flight recorder on and render the dashboard",
-    },
-    Subcommand {
-        usage: "repro validate-trace <FILE>",
-        help: "check the structural invariants of a Chrome trace",
-    },
-    Subcommand {
-        usage: "repro validate-metrics <ADDR|FILE>",
-        help: "lint a /metrics document against the Prometheus text format",
-    },
-    Subcommand {
-        usage: "repro dash [--addr HOST:PORT] [--interval S] [--range S] [--once]",
-        help: "live terminal dashboard over a server's /v1/timeseries and /v1/alerts",
-    },
-    Subcommand {
-        usage: "repro validate-alerts <FILE>",
-        help: "lint an alert-rules file with the server's own parser",
-    },
-];
-
-/// The usage text both `repro --help` and argument errors print,
-/// generated from [`SUBCOMMANDS`] and [`ARTIFACTS`].
+/// The usage text `repro --help` prints, generated from the flag
+/// tables in [`COMMANDS`] and from [`ARTIFACTS`].
 pub fn usage_text() -> String {
     let mut out = String::from("usage:\n");
-    for sub in SUBCOMMANDS {
-        out.push_str("  ");
-        out.push_str(sub.usage);
-        out.push('\n');
-        out.push_str("      ");
-        out.push_str(sub.help);
-        out.push('\n');
+    for cmd in COMMANDS {
+        out.push_str(&format!("  {}\n      {}\n", cmd.usage(), cmd.help));
     }
     out.push_str(
         "\nflags:\n  \
@@ -187,15 +129,20 @@ pub fn usage_text() -> String {
 }
 
 /// The `repro list` report: every artifact and subcommand, one per
-/// line, machine-friendly (`<id>\t<summary>`).
+/// line, machine-friendly (`<kind>\t<id>\t<summary>`; a subcommand's
+/// line adds its usage line as a fourth column).
 pub fn list_text() -> String {
     let mut out = String::new();
     for (id, summary) in ARTIFACT_SUMMARIES {
         out.push_str(&format!("artifact\t{id}\t{summary}\n"));
     }
-    for sub in SUBCOMMANDS {
-        let name = sub.usage.split_whitespace().nth(1).unwrap_or("<artifact>");
-        out.push_str(&format!("subcommand\t{name}\t{}\n", sub.help));
+    for cmd in COMMANDS {
+        let name = match cmd.name {
+            "" => cmd.operand,
+            name => name,
+        };
+        let usage = cmd.usage();
+        out.push_str(&format!("subcommand\t{name}\t{}\t{usage}\n", cmd.help));
     }
     out
 }

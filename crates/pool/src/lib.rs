@@ -75,8 +75,9 @@
 //! (`accordion_telemetry::event::carry`) as the parent of the tracks
 //! their tasks enter, so a track entered inside a task has the same
 //! full name and id whether the task runs inline or on a worker. The
-//! caller adopts the same carried track while it runs share 0, so a
-//! task records exactly what it would on a worker (nothing lands on
+//! caller adopts the same carried track while it runs share 0, or the
+//! whole map when it runs on one worker, so a task records exactly
+//! what it would on a worker at any worker count (nothing lands on
 //! the caller's live track itself). With the recorder off this costs
 //! one relaxed load per map.
 //!
@@ -185,7 +186,11 @@ where
     F: Fn(usize) -> R + Sync,
 {
     let workers = workers.max(1).min(n);
+    let parent = accordion_telemetry::event::carry();
     if workers <= 1 {
+        // Inline, under the carried track too: a task records what it
+        // would on a worker, whatever the worker count.
+        let _adopted = parent.as_ref().map(accordion_telemetry::event::adopt);
         return (0..n).map(|i| run_one(|| f(i))).collect();
     }
 
@@ -224,7 +229,6 @@ where
         }
     };
 
-    let parent = accordion_telemetry::event::carry();
     std::thread::scope(|s| {
         let work = &work;
         for w in 1..workers {
@@ -472,13 +476,17 @@ mod tests {
         };
         let inline = record(1);
         let spread = record(4);
-        // A worker never records on the carried track: its owner is
-        // the calling thread.
-        {
-            let _req = flight_track!("req{:08}", 7);
-            par_map_indexed_with(4, 4, |_| event::record(SimEvent::SafeFreq { f_ghz: 2.0 }));
-        }
-        let stray = event::drain();
+        // A task never records on the carried track, inline or on a
+        // worker: the track's owner is the calling thread.
+        let stray = [1, 4].map(|workers| {
+            {
+                let _req = flight_track!("req{:08}", 7);
+                par_map_indexed_with(workers, 4, |_| {
+                    event::record(SimEvent::SafeFreq { f_ghz: 2.0 })
+                });
+            }
+            event::drain()
+        });
         event::disable();
 
         let points: Vec<&str> = spread.events.iter().map(|e| spread.track_name(e)).collect();
@@ -490,8 +498,10 @@ mod tests {
         );
         assert_eq!(inline.track_names, spread.track_names, "same names and ids");
         assert_eq!(spread.untracked, 0);
-        assert!(stray.is_empty());
-        assert_eq!(stray.untracked, 4);
+        for log in stray {
+            assert!(log.is_empty(), "{:?}", log.track_names);
+            assert_eq!(log.untracked, 4);
+        }
     }
 
     #[test]

@@ -100,19 +100,10 @@ impl SimQuery {
             "small" => Topology::small(),
             other => return Err(format!("unknown topo {other:?}; use default or small")),
         };
-        let size = num_field(doc, "size", 1.0)?;
-        if !(0.01..=100.0).contains(&size) {
-            return Err(format!("size {size} outside [0.01, 100]"));
-        }
+        let size = size_in_range(num_field(doc, "size", 1.0)?)?;
         let vdd_mv = match doc.get("vdd_mv") {
             None | Some(Json::Null) => None,
-            Some(v) => {
-                let mv = v.as_f64().ok_or("vdd_mv must be a number")?;
-                if !(300.0..=1200.0).contains(&mv) {
-                    return Err(format!("vdd_mv {mv} outside [300, 1200]"));
-                }
-                Some(mv)
-            }
+            Some(v) => Some(vdd_in_range(v.as_f64().ok_or("vdd_mv must be a number")?)?),
         };
         let pop_seed = int_field(doc, "pop_seed", 2014.0)? as u64;
         let seed = int_field(doc, "seed", 0.0)? as u64;
@@ -149,6 +140,24 @@ impl SimQuery {
             iterations,
             drop_target,
         })
+    }
+}
+
+/// The bound on `size`, for `/v1/simulate` and every sweep axis value.
+fn size_in_range(size: f64) -> Result<f64, String> {
+    if (0.01..=100.0).contains(&size) {
+        Ok(size)
+    } else {
+        Err(format!("size {size} outside [0.01, 100]"))
+    }
+}
+
+/// The bound on `vdd_mv`, for `/v1/simulate` and every sweep axis value.
+fn vdd_in_range(mv: f64) -> Result<f64, String> {
+    if (300.0..=1200.0).contains(&mv) {
+        Ok(mv)
+    } else {
+        Err(format!("vdd_mv {mv} outside [300, 1200]"))
     }
 }
 
@@ -366,14 +375,10 @@ pub fn sweep(doc: &Json, workers: usize) -> Result<Json, EngineError> {
     set_field(&mut scalar, "size", Json::Num(sizes[0]));
     let base = SimQuery::from_json(&scalar).map_err(EngineError::Bad)?;
     for &mv in vdds.iter().flatten() {
-        if !(300.0..=1200.0).contains(&mv) {
-            return Err(EngineError::Bad(format!("vdd_mv {mv} outside [300, 1200]")));
-        }
+        vdd_in_range(mv).map_err(EngineError::Bad)?;
     }
-    for &s in &sizes {
-        if !(0.01..=100.0).contains(&s) {
-            return Err(EngineError::Bad(format!("size {s} outside [0.01, 100]")));
-        }
+    for &size in &sizes {
+        size_in_range(size).map_err(EngineError::Bad)?;
     }
 
     // Warm the shared state sequentially (chip + quality fronts) so
@@ -476,8 +481,10 @@ fn bool_field(doc: &Json, key: &str, default: bool) -> Result<bool, String> {
 }
 
 /// Parses and validates a `/v1/optimize` body into an
-/// [`accordion_opt::OptimizeRequest`]. Field vocabulary and defaults
-/// match `repro optimize`; bounds keep one request's work finite.
+/// [`accordion_opt::OptimizeRequest`]; bounds keep one request's work
+/// finite. `repro optimize` fills a body from its flags and validates
+/// it here too, so the CLI and the route accept the same requests and
+/// reject the rest with the same messages.
 ///
 /// # Errors
 ///

@@ -7,8 +7,8 @@
 //! accept-order counter. The handler thread installs a [`RequestCtx`]
 //! (thread-local) for the duration of the request; layers below the
 //! router — today the engine's chip-cache lookup — annotate it
-//! via [`note_cache`] / [`note_handler`] without threading a context
-//! argument through every signature. The id also names the request's
+//! via [`note_cache`] without threading a context argument through
+//! every signature. The id also names the request's
 //! flight-recorder track (`req00000001`), so a Chrome trace groups a
 //! request's parse/cache/fanout/serialize stages under one
 //! deterministic track; the pool carries that track to its workers,
@@ -38,8 +38,6 @@ pub struct RequestCtx {
     /// Chip-cache outcome: `Some(true)` hit, `Some(false)` miss,
     /// `None` when the request never touched the cache.
     pub cache_hit: Option<bool>,
-    /// Logical handler name (`simulate`, `sweep`, `metrics`, ...).
-    pub handler: &'static str,
 }
 
 thread_local! {
@@ -49,12 +47,7 @@ thread_local! {
 /// Installs a fresh request context on this thread. Called by the
 /// server's handler loop; pairs with [`end_request`].
 pub fn begin_request() {
-    CTX.with(|c| {
-        *c.borrow_mut() = Some(RequestCtx {
-            cache_hit: None,
-            handler: "-",
-        });
-    });
+    CTX.with(|c| *c.borrow_mut() = Some(RequestCtx::default()));
 }
 
 /// Removes and returns the thread's request context (if any).
@@ -70,16 +63,6 @@ pub fn note_cache(hit: bool) {
             if ctx.cache_hit.is_none() {
                 ctx.cache_hit = Some(hit);
             }
-        }
-    });
-}
-
-/// Names the logical handler serving the current request. No-op
-/// outside a request.
-pub fn note_handler(name: &'static str) {
-    CTX.with(|c| {
-        if let Some(ctx) = c.borrow_mut().as_mut() {
-            ctx.handler = name;
         }
     });
 }
@@ -197,17 +180,14 @@ mod tests {
         begin_request();
         note_cache(true);
         note_cache(false); // first annotation wins
-        note_handler("simulate");
         let ctx = end_request().expect("ctx installed");
         assert_eq!(ctx.cache_hit, Some(true));
-        assert_eq!(ctx.handler, "simulate");
         assert!(end_request().is_none());
     }
 
     #[test]
     fn annotations_outside_a_request_are_noops() {
         note_cache(true);
-        note_handler("x");
         assert!(end_request().is_none());
     }
 

@@ -50,6 +50,10 @@ use std::time::{Duration, Instant};
 /// Readiness and completions interrupt the tick immediately.
 const TICK: Duration = Duration::from_millis(25);
 
+/// Pipelining depth: requests admitted per connection before its
+/// earlier responses have been written (backpressure bound).
+const MAX_PIPELINE: usize = 32;
+
 /// Artifact generation injected by the binary crate (`repro`). The
 /// service crate cannot depend on `accordion-bench` (which depends on
 /// everything, including — via the CLI — this crate), so the registry
@@ -86,13 +90,6 @@ pub struct ServeConfig {
     /// How long a keep-alive connection may sit idle *between*
     /// requests before the reactor closes it silently.
     pub idle_timeout: Duration,
-    /// Whether to keep connections open between requests. `false`
-    /// restores one-request-per-connection (`Connection: close` on
-    /// every response).
-    pub keep_alive: bool,
-    /// Pipelining depth: requests admitted per connection before its
-    /// earlier responses have been written (backpressure bound).
-    pub max_pipeline: usize,
     /// Artifact generation hook, if the host binary provides one.
     pub artifacts: Option<ArtifactSource>,
     /// Enables `POST /v1/debug/sleep` (tests only — lets a test pin
@@ -134,8 +131,6 @@ impl Default for ServeConfig {
             max_body_bytes: 1 << 20,
             deadline: Duration::from_secs(30),
             idle_timeout: Duration::from_secs(30),
-            keep_alive: true,
-            max_pipeline: 32,
             artifacts: None,
             debug_endpoints: false,
             access_log: None,
@@ -549,7 +544,7 @@ fn reactor_loop(shared: &Arc<Shared>, listener: TcpListener, waker: &Waker) {
             let read = !conn.read_closed
                 && !conn.dead
                 && conn.close_at.is_none()
-                && conn.window() < shared.cfg.max_pipeline;
+                && conn.window() < MAX_PIPELINE;
             let write = conn.out_pos < conn.out.len();
             if read || write {
                 conn_slots.push((set.push(conn.stream.as_raw_fd(), read, write), *key));
@@ -704,10 +699,7 @@ fn service_conn(shared: &Shared, conn: &mut Conn, now: Instant, stopping: bool) 
 fn read_conn(shared: &Shared, conn: &mut Conn, now: Instant) {
     let mut buf = [0u8; 16 * 1024];
     for _ in 0..4 {
-        if conn.read_closed
-            || conn.dead
-            || conn.close_at.is_some()
-            || conn.window() >= shared.cfg.max_pipeline
+        if conn.read_closed || conn.dead || conn.close_at.is_some() || conn.window() >= MAX_PIPELINE
         {
             break;
         }
@@ -738,7 +730,7 @@ fn read_conn(shared: &Shared, conn: &mut Conn, now: Instant) {
 /// id and response sequence, then hand it to the workers (or shed /
 /// answer the framing error in place).
 fn parse_pending(shared: &Shared, conn: &mut Conn, now: Instant) {
-    while conn.close_at.is_none() && !conn.dead && conn.window() < shared.cfg.max_pipeline {
+    while conn.close_at.is_none() && !conn.dead && conn.window() < MAX_PIPELINE {
         let parse_started = Instant::now();
         match conn.parser.next_request() {
             Ok(None) => break,
@@ -747,7 +739,7 @@ fn parse_pending(shared: &Shared, conn: &mut Conn, now: Instant) {
                 let seq = conn.next_seq;
                 conn.next_seq += 1;
                 let id = shared.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-                let keep_alive = shared.cfg.keep_alive && !parsed.close;
+                let keep_alive = !parsed.close;
                 if !keep_alive {
                     // Pipelined bytes after an announced close are
                     // ignored, per RFC 9112 §9.6.
@@ -965,11 +957,11 @@ fn handle_job(shared: &Shared, job: Job) -> Vec<u8> {
     });
 
     let req = &job.request;
-    obs::note_handler(handler_name(&req.method, &req.path));
+    let (handler, respond) = route(&req.method, &req.path);
     let handle_started = Instant::now();
     // A route handler panicking (a bug) must answer 500 and leave the
     // worker alive for the next request.
-    let resp = match catch_unwind(AssertUnwindSafe(|| route(shared, req))) {
+    let resp = match catch_unwind(AssertUnwindSafe(|| respond(shared, req))) {
         Ok(resp) => resp,
         Err(_) => {
             counter!("served.http.panics").inc();
@@ -1000,7 +992,7 @@ fn handle_job(shared: &Shared, job: Job) -> Vec<u8> {
             method: &req.method,
             path: &req.path,
             status: resp.status,
-            handler: ctx.handler,
+            handler,
             cache: match ctx.cache_hit {
                 Some(true) => "hit",
                 Some(false) => "miss",
@@ -1204,57 +1196,44 @@ fn describe_metrics() {
 // Routing.
 // ---------------------------------------------------------------------------
 
-/// Logical handler name for the access log (bounded vocabulary, never
-/// the raw path).
-fn handler_name(method: &str, path: &str) -> &'static str {
+/// A route's responder.
+type Handler = fn(&Shared, &Request) -> Response;
+
+/// The route table: a request's logical handler name, the access log's
+/// bounded vocabulary (never the raw path), and its responder.
+fn route(method: &str, path: &str) -> (&'static str, Handler) {
     match (method, path) {
-        ("GET", "/healthz") => "healthz",
-        ("GET", "/metrics") => "metrics",
-        ("GET", "/v1/timeseries") => "timeseries",
-        ("GET", "/v1/alerts") => "alerts",
-        ("GET", "/v1/artifacts") => "artifacts_list",
-        ("POST", "/v1/simulate") => "simulate",
-        ("POST", "/v1/sweep") => "sweep",
-        ("POST", "/v1/optimize") => "optimize",
-        ("POST", "/v1/shutdown") => "shutdown",
-        ("POST", "/v1/debug/sleep") => "debug_sleep",
-        ("GET", p) if p.starts_with("/v1/artifacts/") => "artifact",
-        _ => "other",
+        ("GET", "/healthz") => ("healthz", |s, _| healthz(s)),
+        ("GET", "/metrics") => ("metrics", |s, _| metrics(s)),
+        ("GET", "/v1/timeseries") => ("timeseries", timeseries),
+        ("GET", "/v1/alerts") => ("alerts", |s, _| alerts_status(s)),
+        ("GET", "/v1/artifacts") => ("artifacts_list", |s, _| list_artifacts(s)),
+        ("POST", "/v1/simulate") => ("simulate", simulate),
+        ("POST", "/v1/sweep") => ("sweep", sweep),
+        ("POST", "/v1/optimize") => ("optimize", optimize),
+        ("POST", "/v1/shutdown") => ("shutdown", |s, _| {
+            s.request_stop();
+            let body = json::Json::obj(vec![("status", json::Json::str("stopping"))]);
+            Response::json(200, body.render())
+        }),
+        ("POST", "/v1/debug/sleep") => ("debug_sleep", debug_sleep),
+        ("GET", p) if p.starts_with("/v1/artifacts/") => ("artifact", artifact),
+        (_, "/healthz" | "/metrics" | "/v1/artifacts" | "/v1/timeseries" | "/v1/alerts")
+        | ("GET" | "PUT" | "DELETE", "/v1/simulate" | "/v1/sweep" | "/v1/optimize") => {
+            ("other", |_, _| Response::error(405, "method not allowed"))
+        }
+        _ => ("other", |_, _| no_such_endpoint()),
     }
 }
 
-fn route(shared: &Shared, req: &Request) -> Response {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => healthz(shared),
-        ("GET", "/metrics") => metrics(shared),
-        ("GET", "/v1/timeseries") => timeseries(shared, req),
-        ("GET", "/v1/alerts") => alerts_status(shared),
-        ("GET", "/v1/artifacts") => list_artifacts(shared),
-        ("POST", "/v1/simulate") => simulate(shared, req),
-        ("POST", "/v1/sweep") => sweep(shared, req),
-        ("POST", "/v1/optimize") => optimize(shared, req),
-        ("POST", "/v1/shutdown") => {
-            shared.request_stop();
-            Response::json(
-                200,
-                json::Json::obj(vec![("status", json::Json::str("stopping"))]).render(),
-            )
-        }
-        ("POST", "/v1/debug/sleep") if shared.cfg.debug_endpoints => debug_sleep(req),
-        ("GET", path) if path.starts_with("/v1/artifacts/") => {
-            artifact(shared, req, &path["/v1/artifacts/".len()..])
-        }
-        (_, "/healthz" | "/metrics" | "/v1/artifacts" | "/v1/timeseries" | "/v1/alerts")
-        | ("GET" | "PUT" | "DELETE", "/v1/simulate" | "/v1/sweep" | "/v1/optimize") => {
-            Response::error(405, "method not allowed")
-        }
-        _ => Response::error(404, "no such endpoint"),
-    }
+fn no_such_endpoint() -> Response {
+    Response::error(404, "no such endpoint")
 }
 
 /// `GET /v1/artifacts/{id}?chips=N`: generates one artifact report
 /// (a population of `N` chips, default 8).
-fn artifact(shared: &Shared, req: &Request, id: &str) -> Response {
+fn artifact(shared: &Shared, req: &Request) -> Response {
+    let id = &req.path["/v1/artifacts/".len()..];
     let Some(source) = shared.cfg.artifacts else {
         return Response::error(404, "artifact generation is not wired into this server");
     };
@@ -1550,7 +1529,11 @@ fn engine_error(e: &EngineError) -> Response {
     }
 }
 
-fn debug_sleep(req: &Request) -> Response {
+/// `POST /v1/debug/sleep`; a 404 unless debug endpoints are on.
+fn debug_sleep(shared: &Shared, req: &Request) -> Response {
+    if !shared.cfg.debug_endpoints {
+        return no_such_endpoint();
+    }
     let ms = parse_body(req)
         .ok()
         .and_then(|d| d.get("ms").and_then(json::Json::as_f64))
@@ -1601,6 +1584,39 @@ mod tests {
         let metrics = get(addr, "/metrics");
         assert!(metrics.contains("served_http_requests"), "{metrics}");
         handle.shutdown();
+    }
+
+    #[test]
+    fn the_route_table_names_every_access_log_line() {
+        let dir = std::env::temp_dir().join(format!("accordion-routes-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let log = dir.join("access.jsonl");
+        let handle = start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            handler_threads: 1,
+            access_log: Some(log.to_str().expect("utf-8 path").into()),
+            log_timing: false,
+            ..ServeConfig::default()
+        })
+        .expect("bind");
+        let addr = handle.addr();
+        // Debug endpoints are off: the request keeps its name and
+        // answers 404.
+        let sleep =
+            "POST /v1/debug/sleep HTTP/1.1\r\nContent-Length: 0\r\nConnection: close\r\n\r\n";
+        assert!(request(addr, sleep).starts_with("HTTP/1.1 404"));
+        assert!(get(addr, "/v1/simulate").starts_with("HTTP/1.1 405"));
+        assert!(get(addr, "/v1/artifacts/fig5a").starts_with("HTTP/1.1 404"));
+        handle.shutdown();
+        let text = std::fs::read_to_string(&log).expect("access log");
+        let _ = std::fs::remove_dir_all(&dir);
+        let expected = [(404, "debug_sleep"), (405, "other"), (404, "artifact")];
+        assert_eq!(text.lines().count(), expected.len(), "{text}");
+        for (line, (status, handler)) in text.lines().zip(expected) {
+            let fields =
+                format!("\"status\":{status},\"outcome\":\"error\",\"handler\":\"{handler}\"");
+            assert!(line.contains(&fields), "{line}");
+        }
     }
 
     #[test]
