@@ -1,10 +1,11 @@
 //! `repro dash`: a terminal dashboard over the server's ops plane.
 //!
 //! Polls `/v1/timeseries` and `/v1/alerts` on a serving instance and
-//! renders sparkline panels (RPS, latency quantiles, shed and coalesce
-//! rates) plus the alert table with plain ANSI escapes — no curses, no
-//! external crates, works over ssh. Rendering is split from fetching so
-//! every visual element is unit-testable on canned data.
+//! renders sparkline panels (RPS, latency quantiles, shed, coalesce
+//! and chip-cache miss rates) plus the alert table with plain ANSI
+//! escapes — no curses, no external crates, works over ssh. Rendering
+//! is split from fetching so every visual element is unit-testable on
+//! canned data.
 
 use accordion_telemetry::json::{self, Json};
 use std::io::{Read as _, Write as _};
@@ -17,7 +18,7 @@ const RAMP: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█']
 /// The panels the dashboard draws, in display order. Each row is the
 /// panel title, the TSDB series id to query, and the unit suffix shown
 /// after the latest value.
-pub const PANELS: [(&str, &str, &str); 5] = [
+pub const PANELS: [(&str, &str, &str); 6] = [
     ("rps", "served_http_requests_total:rate", "/s"),
     (
         "p50",
@@ -35,6 +36,7 @@ pub const PANELS: [(&str, &str, &str); 5] = [
         "/s",
     ),
     ("coalesce", "served_coalesced_total:rate", "/s"),
+    ("chip miss", "chip_popcache_misses_total:rate", "/s"),
 ];
 
 /// Configuration for one dashboard run.

@@ -99,6 +99,8 @@ fn body_with(key: &str, value: &str) -> json::Json {
 fn optimize_rejects_what_the_route_rejects_with_its_message() {
     for (flag, value, key, json_value) in [
         ("--seed", "1.5", "seed", "1.5"),
+        ("--seed", "9007199254740994", "seed", "9007199254740994"),
+        ("--seed", "1e30", "seed", "1e30"),
         ("--population", "200", "population", "200"),
         ("--generations", "65", "generations", "65"),
         ("--chips", "101", "chips", "101"),

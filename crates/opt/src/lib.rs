@@ -26,9 +26,8 @@
 //!   `repro optimize` and `POST /v1/optimize`.
 //!
 //! Telemetry: `opt.generation` spans, `opt_eval_cache_*` (candidate
-//! memo) and `opt_ctx_cache_*` (timing contexts) counters, an
-//! `opt_cache_hit_ratio` gauge, and one flight-recorder track per
-//! generation (`opt/gen{g}`) carrying
+//! memo) and `opt_ctx_cache_*` (timing contexts) counters, and one
+//! flight-recorder track per generation (`opt/gen{g}`) carrying
 //! [`SimEvent::OptGeneration`](accordion_telemetry::event::SimEvent)
 //! events.
 //!

@@ -10,7 +10,6 @@ use crate::eval::{Evaluator, OperatingPoint};
 use crate::iso::{self, IsoFronts, IsoTargets};
 use crate::nsga::{self, front_dominates_grid, OptConfig, OptOutcome};
 use accordion_chip::topology::Topology;
-use accordion_telemetry::gauge;
 use accordion_telemetry::json::Json;
 
 /// A complete optimize request: the evaluator binding plus the search
@@ -78,14 +77,6 @@ pub fn optimize_report(req: &OptimizeRequest, workers: usize) -> Result<Json, St
             dominated: front_dominates_grid(&outcome.front, &points, &cfg.constraints),
         }
     });
-
-    let (evals, memo_hits, _, _) = eval.stats();
-    let ratio = if evals + memo_hits > 0 {
-        memo_hits as f64 / (evals + memo_hits) as f64
-    } else {
-        0.0
-    };
-    gauge!("opt.cache_hit_ratio").set(ratio);
 
     Ok(render(
         req,

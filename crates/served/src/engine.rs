@@ -168,10 +168,17 @@ fn num_field(doc: &Json, key: &str, default: f64) -> Result<f64, String> {
     }
 }
 
+/// The largest integer a JSON number (an `f64`) holds exactly, 2^53.
+/// Above it, distinct integers in a request would parse to one value.
+const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
+
 fn int_field(doc: &Json, key: &str, default: f64) -> Result<f64, String> {
     let v = num_field(doc, key, default)?;
     if v < 0.0 || v.fract() != 0.0 {
         return Err(format!("{key} must be a non-negative integer"));
+    }
+    if v > MAX_EXACT_INT {
+        return Err(format!("{key} must be at most 2^53 = 9007199254740992"));
     }
     Ok(v)
 }

@@ -32,8 +32,7 @@ use accordion_chip::popcache;
 use accordion_pool::Memo;
 use accordion_telemetry::alerts::{self, AlertSet};
 use accordion_telemetry::event::SimEvent;
-use accordion_telemetry::registry::{exponential_bounds, Counter};
-use accordion_telemetry::rolling::RollingHistogram;
+use accordion_telemetry::registry::{exponential_bounds, Counter, HistogramMetric};
 use accordion_telemetry::tsdb::Tsdb;
 use accordion_telemetry::{counter, flight, flight_track, histogram, json, prom, sink};
 use std::collections::{BTreeMap, VecDeque};
@@ -112,13 +111,6 @@ pub struct ServeConfig {
     /// Alert-rule file path (`repro serve --alerts`); parsed at
     /// [`start`], rejected with the parse errors when malformed.
     pub alert_rules: Option<String>,
-    /// Rolling window of the per-outcome latency histograms, seconds.
-    /// The global registry fixes a rolling histogram's window at first
-    /// creation, so [`start`] pre-registers every outcome class with
-    /// this value. Tests shrink it so an injected latency spike ages
-    /// out of `p99` (and the alerts watching it) within the test
-    /// budget rather than after the production 60 s.
-    pub latency_window_s: f64,
 }
 
 impl Default for ServeConfig {
@@ -138,7 +130,6 @@ impl Default for ServeConfig {
             self_scrape: true,
             scrape_interval: Duration::from_secs(1),
             alert_rules: None,
-            latency_window_s: 60.0,
         }
     }
 }
@@ -202,7 +193,7 @@ struct Shared {
 /// One outcome class's metric handles, resolved once per server.
 struct OutcomeMetrics {
     outcome: &'static str,
-    latency: &'static RollingHistogram,
+    latency: &'static HistogramMetric,
     /// Registered by the class's first request, so `/metrics` lists
     /// only the classes that occurred.
     requests: OnceLock<&'static Counter>,
@@ -334,18 +325,9 @@ impl ServerHandle {
 ///
 /// # Errors
 ///
-/// Rejects a `latency_window_s` that is not finite and positive with
-/// [`std::io::ErrorKind::InvalidInput`] before registering anything,
-/// and propagates the bind failure (address in use, permission), waker
+/// Propagates the bind failure (address in use, permission), waker
 /// creation failure, and access-log or alert-rule file errors.
 pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
-    let window = cfg.latency_window_s;
-    if !(window.is_finite() && window > 0.0) {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("latency_window_s must be finite and positive, got {window}"),
-        ));
-    }
     let listener = TcpListener::bind(&cfg.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
@@ -367,16 +349,12 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         None => Vec::new(),
     };
     describe_metrics();
-    // First creation fixes a rolling histogram's window (the registry
-    // ignores the spec on later lookups), so claim every outcome class
-    // at the configured window before any request records into them.
     let outcomes = ["ok", "timeout", "too_large", "shed", "error"].map(|outcome| OutcomeMetrics {
         outcome,
-        latency: accordion_telemetry::registry::global().rolling_histogram(
+        latency: accordion_telemetry::registry::global().labeled_histogram(
             "served.http.request_latency_us",
             &[("outcome", outcome)],
             &latency_bounds(),
-            window,
         ),
         requests: OnceLock::new(),
     });
@@ -1107,10 +1085,6 @@ fn describe_metrics() {
     );
     reg.describe("served.uptime.seconds", "seconds since the server started");
     reg.describe(
-        "served.popcache.hit_ratio",
-        "chip cache lifetime hit ratio over chip lookups",
-    );
-    reg.describe(
         "served.alerts.firing",
         "alert rules currently in the firing state",
     );
@@ -1142,10 +1116,6 @@ fn describe_metrics() {
     reg.describe(
         "opt.front_size",
         "rank-0 archive front size after the latest generation",
-    );
-    reg.describe(
-        "opt.cache_hit_ratio",
-        "optimizer memo hit ratio over the process lifetime",
     );
     reg.describe(
         "served.engine.optimizations",
@@ -1255,7 +1225,7 @@ fn artifact(shared: &Shared, req: &Request) -> Response {
 }
 
 /// Refreshes the point-in-time serving gauges (queue depth, in-flight,
-/// uptime, cache occupancy). Shared by `/metrics` and the
+/// uptime). Shared by `/metrics` and the
 /// self-scrape loop so the exposition and the TSDB history agree.
 fn refresh_gauges(shared: &Shared) {
     let reg = accordion_telemetry::registry::global();
@@ -1265,13 +1235,6 @@ fn refresh_gauges(shared: &Shared) {
         .set(shared.in_flight.load(Ordering::Relaxed) as f64);
     reg.gauge("served.uptime.seconds")
         .set(shared.started.elapsed().as_secs_f64());
-    let (hits, misses) = popcache::stats();
-    let total = hits + misses;
-    reg.gauge("served.popcache.hit_ratio").set(if total > 0 {
-        hits as f64 / total as f64
-    } else {
-        0.0
-    });
 }
 
 /// Renders `/metrics`: refreshes the point-in-time serving gauges,
@@ -1789,35 +1752,6 @@ mod tests {
             Err(err) => assert_eq!(err.kind(), std::io::ErrorKind::InvalidData),
         }
         let _ = std::fs::remove_file(&rules);
-    }
-
-    #[test]
-    fn bad_latency_windows_fail_start() {
-        for window in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            match start(ServeConfig {
-                addr: "127.0.0.1:0".into(),
-                latency_window_s: window,
-                ..ServeConfig::default()
-            }) {
-                Ok(handle) => {
-                    handle.shutdown();
-                    panic!("latency_window_s {window} must be rejected");
-                }
-                Err(err) => assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput),
-            }
-        }
-        // Nothing was registered under the bad windows, and the
-        // registry still answers.
-        let text = prom::render(accordion_telemetry::registry::global());
-        assert!(!text.contains("rolling 0s window"), "{text}");
-        let handle = start(ServeConfig {
-            addr: "127.0.0.1:0".into(),
-            handler_threads: 1,
-            ..ServeConfig::default()
-        })
-        .expect("a good window starts");
-        assert!(get(handle.addr(), "/metrics").starts_with("HTTP/1.1 200"));
-        handle.shutdown();
     }
 
     #[test]

@@ -137,19 +137,36 @@ fn extreme_numbers_are_typed_rejections() {
         for (key, ..) in FIELDS {
             let body = format!(r#"{{"app": "hotspot", "topo": "small", "{key}": {value}}}"#);
             let doc = json::parse(&body).expect("JSON");
-            // Only the seeds take any non-negative integer (`1e300`
-            // saturates to `u64::MAX`); a validator ignores the other
-            // route's fields and rejects every other extreme.
+            // A validator ignores the other route's fields and rejects
+            // every extreme, the seeds' `1e300` included.
             let accepted = SimQuery::from_json(&doc).is_ok();
-            let seed_like = matches!(key, "seed" | "pop_seed") && value == "1e300";
             let sim_only = matches!(
                 key,
                 "size" | "vdd_mv" | "dcs" | "iterations" | "drop_target"
             );
             let opt_only = matches!(key, "population" | "generations" | "scout_steps");
-            assert_eq!(accepted, seed_like || opt_only, "simulate {body}");
+            assert_eq!(accepted, opt_only, "simulate {body}");
             let accepted = optimize_request_from_json(&doc).is_ok();
-            assert_eq!(accepted, seed_like || sim_only, "optimize {body}");
+            assert_eq!(accepted, sim_only, "optimize {body}");
         }
+    }
+}
+
+/// A seed is any integer a JSON number holds exactly: 2^53 is the
+/// largest, and a larger one would alias its neighbours.
+#[test]
+fn seeds_stop_at_two_to_the_53() {
+    for key in ["seed", "pop_seed"] {
+        let body = |value: &str| {
+            let text = format!(r#"{{"app": "hotspot", "topo": "small", "{key}": {value}}}"#);
+            json::parse(&text).expect("JSON")
+        };
+        let top = body("9007199254740992");
+        assert!(SimQuery::from_json(&top).is_ok(), "{key} 2^53");
+        assert!(optimize_request_from_json(&top).is_ok(), "{key} 2^53");
+        let past = body("9007199254740994");
+        let message = format!("{key} must be at most 2^53 = 9007199254740992");
+        assert_eq!(SimQuery::from_json(&past).err(), Some(message.clone()));
+        assert_eq!(optimize_request_from_json(&past).err(), Some(message));
     }
 }

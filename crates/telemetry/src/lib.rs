@@ -57,7 +57,6 @@ pub mod json;
 pub mod manifest;
 pub mod prom;
 pub mod registry;
-pub mod rolling;
 pub mod sink;
 pub mod span;
 pub mod tsdb;

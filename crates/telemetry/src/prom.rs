@@ -16,10 +16,13 @@
 //!
 //! Naming: dotted registry names flatten to underscores
 //! (`served.http.requests` → `served_http_requests`), counters gain
-//! the conventional `_total` suffix, spans surface as two counters
-//! (`<name>_calls_total`, `<name>_seconds_total`), and rolling
-//! histograms render like plain histograms but over their time window
-//! (the window length is stated in the `# HELP` line).
+//! the conventional `_total` suffix, and spans surface as two counters
+//! (`<name>_calls_total`, `<name>_seconds_total`).
+//!
+//! Every exported number is cumulative over the process lifetime, as
+//! the format requires of counters and of a histogram's buckets, sum
+//! and count: a scraper derives recent rates and quantiles from the
+//! increments between scrapes, as the in-process [`crate::tsdb`] does.
 
 use crate::registry::{HistogramSnapshot, Registry};
 use std::fmt::Write as _;
@@ -60,10 +63,10 @@ pub struct Sample {
     pub exemplars: Vec<Option<Exemplar>>,
 }
 
-/// An OpenMetrics exemplar: one recent observation annotated with
+/// An OpenMetrics exemplar: one observation annotated with
 /// trace-correlation labels, rendered after a bucket line as
 /// `... # {labels} value`. The serving path stores the request id and
-/// flight-recorder track of a recent observation per latency bucket,
+/// flight-recorder track of the latest observation per latency bucket,
 /// so a tail-latency spike links directly to the trace of a request
 /// that caused it.
 #[derive(Debug, Clone, PartialEq)]

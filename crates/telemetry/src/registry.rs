@@ -11,8 +11,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-use crate::prom::{flatten_name, Family, Kind, Sample, SampleValue};
-use crate::rolling::{RollingHistogram, DEFAULT_SLICES};
+use crate::prom::{escape_label_value, flatten_name, Exemplar, Family, Kind, Sample, SampleValue};
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -70,7 +69,9 @@ impl Gauge {
 ///
 /// `bounds` are the inclusive upper edges of the first `bounds.len()`
 /// buckets; one final overflow bucket catches everything above the
-/// last bound, so `record` never drops an observation.
+/// last bound, so `record` never drops an observation. Every count is
+/// cumulative over the histogram's lifetime; windows over it are the
+/// TSDB's business ([`crate::tsdb`]).
 #[derive(Debug)]
 pub struct HistogramMetric {
     bounds: Vec<f64>,
@@ -79,6 +80,9 @@ pub struct HistogramMetric {
     sum_bits: AtomicU64,
     min_bits: AtomicU64,
     max_bits: AtomicU64,
+    /// The latest exemplar per bucket, allocated by the first
+    /// [`record_with_exemplar`](Self::record_with_exemplar).
+    exemplars: OnceLock<Mutex<Vec<Option<Exemplar>>>>,
 }
 
 /// Point-in-time view of a [`HistogramMetric`].
@@ -118,6 +122,7 @@ impl HistogramMetric {
             sum_bits: AtomicU64::new(0f64.to_bits()),
             min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
             max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
+            exemplars: OnceLock::new(),
         }
     }
 
@@ -129,6 +134,31 @@ impl HistogramMetric {
         atomic_f64_update(&self.sum_bits, |s| s + v);
         atomic_f64_update(&self.min_bits, |m| m.min(v));
         atomic_f64_update(&self.max_bits, |m| m.max(v));
+    }
+
+    /// Records one observation and makes it its bucket's exemplar:
+    /// `labels` is a pre-escaped Prometheus label body (see
+    /// [`crate::prom::escape_label_value`]), e.g.
+    /// `request_id="42",track="req00000042"`. The latest exemplar of
+    /// a bucket wins and stays until the next one replaces it.
+    pub fn record_with_exemplar(&self, v: f64, labels: &str) {
+        self.record(v);
+        let idx = self.bounds.partition_point(|&b| b < v);
+        let slots = self
+            .exemplars
+            .get_or_init(|| Mutex::new(vec![None; self.buckets.len()]));
+        slots.lock().unwrap_or_else(PoisonError::into_inner)[idx] = Some(Exemplar {
+            labels: labels.to_string(),
+            value: v,
+        });
+    }
+
+    /// The latest exemplar of each bucket, indexed like the snapshot's
+    /// buckets; empty when no exemplar was ever recorded.
+    pub fn exemplars(&self) -> Vec<Option<Exemplar>> {
+        self.exemplars.get().map_or_else(Vec::new, |slots| {
+            slots.lock().unwrap_or_else(PoisonError::into_inner).clone()
+        })
     }
 
     /// Point-in-time snapshot. Bucket counts are read without a global
@@ -170,23 +200,42 @@ impl HistogramSnapshot {
         if q == 0.0 {
             return Some(min);
         }
-        // Rank of the target observation, 1-based.
-        let rank = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                let edge = self.bounds.get(i).copied().unwrap_or(max);
-                return Some(edge.clamp(min, max));
-            }
-        }
-        Some(max)
+        Some(bucket_quantile(
+            &self.bounds,
+            self.buckets.iter().copied(),
+            self.count,
+            (min, max),
+            q,
+        ))
     }
 
     /// Mean of all observations (`None` when empty).
     pub fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum / self.count as f64)
     }
+}
+
+/// The upper edge of the bucket holding the `q`-quantile's
+/// observation among `count` spread over `buckets` (laid out over
+/// `bounds` plus the overflow bucket), clamped to the observed
+/// `(min, max)`; the overflow bucket's edge is `max`.
+pub(crate) fn bucket_quantile(
+    bounds: &[f64],
+    buckets: impl IntoIterator<Item = u64>,
+    count: u64,
+    (min, max): (f64, f64),
+    q: f64,
+) -> f64 {
+    // Rank of the target observation, 1-based.
+    let rank = (q * count as f64).ceil().max(1.0) as u64;
+    let mut seen = 0u64;
+    for (i, c) in buckets.into_iter().enumerate() {
+        seen += c;
+        if seen >= rank {
+            return bounds.get(i).copied().unwrap_or(max).clamp(min, max);
+        }
+    }
+    max
 }
 
 fn atomic_f64_update(bits: &AtomicU64, f: impl Fn(f64) -> f64) {
@@ -275,29 +324,16 @@ pub fn exponential_bounds(start: f64, factor: f64, n: usize) -> Vec<f64> {
 fn label_key(labels: &[(&str, &str)]) -> String {
     let mut sorted: Vec<&(&str, &str)> = labels.iter().collect();
     sorted.sort_by_key(|(k, _)| *k);
-    let mut out = String::new();
-    for (i, (k, v)) in sorted.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(k);
-        out.push_str("=\"");
-        for c in v.chars() {
-            match c {
-                '\\' => out.push_str("\\\\"),
-                '"' => out.push_str("\\\""),
-                '\n' => out.push_str("\\n"),
-                other => out.push(other),
-            }
-        }
-        out.push('"');
-    }
-    out
+    let pairs: Vec<String> = sorted
+        .iter()
+        .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
+        .collect();
+    pairs.join(",")
 }
 
 /// Family name → canonical label body → handle. An unlabelled metric
 /// is the empty label body, which sorts (and renders) first in its
-/// family; spans and lifetime histograms have only that one.
+/// family; spans have only that one.
 type Families<T> = BTreeMap<String, BTreeMap<String, &'static T>>;
 
 #[derive(Default)]
@@ -305,7 +341,6 @@ struct State {
     counters: Families<Counter>,
     gauges: Families<Gauge>,
     histograms: Families<HistogramMetric>,
-    rolling: Families<RollingHistogram>,
     spans: Families<SpanStats>,
     /// Family name → help text for the Prometheus exposition.
     help: BTreeMap<String, String>,
@@ -366,17 +401,10 @@ impl Registry {
         self.labeled_gauge(name, &[])
     }
 
-    /// Finds or creates the histogram `name`. The first registration
-    /// fixes the bucket bounds (rejecting bad ones as
-    /// [`HistogramMetric::new`] does); later callers receive the
-    /// existing histogram regardless of the bounds they pass.
+    /// Finds or creates the histogram `name`; see
+    /// [`labeled_histogram`](Self::labeled_histogram).
     pub fn histogram(&self, name: &str, bounds: &[f64]) -> &'static HistogramMetric {
-        self.lookup(
-            |s| &mut s.histograms,
-            name,
-            &[],
-            || HistogramMetric::new(bounds),
-        )
+        self.labeled_histogram(name, &[], bounds)
     }
 
     /// Finds or creates span accounting for `name`.
@@ -413,23 +441,22 @@ impl Registry {
         self.lookup(|s| &mut s.gauges, family, labels, Gauge::default)
     }
 
-    /// Finds or creates the rolling histogram `family{labels}`. The
-    /// first registration of a `(family, labels)` pair fixes its bucket
-    /// bounds and window (rejecting bad ones as [`RollingHistogram::new`]
-    /// does); later callers receive the existing histogram regardless
-    /// of the spec they pass.
-    pub fn rolling_histogram(
+    /// Finds or creates the histogram `family{labels}`. The first
+    /// registration of a `(family, labels)` pair fixes its bucket
+    /// bounds (rejecting bad ones as [`HistogramMetric::new`] does);
+    /// later callers receive the existing histogram regardless of the
+    /// bounds they pass.
+    pub fn labeled_histogram(
         &self,
         family: &str,
         labels: &[(&str, &str)],
         bounds: &[f64],
-        window_secs: f64,
-    ) -> &'static RollingHistogram {
+    ) -> &'static HistogramMetric {
         self.lookup(
-            |s| &mut s.rolling,
+            |s| &mut s.histograms,
             family,
             labels,
-            || RollingHistogram::new(bounds, window_secs, DEFAULT_SLICES),
+            || HistogramMetric::new(bounds),
         )
     }
 
@@ -439,9 +466,8 @@ impl Registry {
     /// (`served.http.requests` → `served_http_requests`); plain and
     /// labelled metrics of one family share it (the unlabelled sample
     /// first); spans surface as two counters, `<name>_calls_total` and
-    /// `<name>_seconds_total`; rolling histograms are merged over their
-    /// current window. Family help defaults to the dotted name when
-    /// [`describe`](Self::describe) was never called.
+    /// `<name>_seconds_total`. Family help defaults to the dotted name
+    /// when [`describe`](Self::describe) was never called.
     pub fn gather(&self) -> Vec<Family> {
         let state = self.lock();
         let help_of = |dotted: &str| {
@@ -467,19 +493,9 @@ impl Registry {
                 slot.iter().map(|(labels, h)| Sample {
                     labels: labels.clone(),
                     value: SampleValue::Hist(h.snapshot()),
-                    exemplars: Vec::new(),
+                    exemplars: h.exemplars(),
                 }),
             );
-        }
-        for (k, slot) in &state.rolling {
-            for (labels, h) in slot {
-                let help = || format!("{} (rolling {:.0}s window)", help_of(k), h.window_secs());
-                family(&mut out, flatten_name(k), help, Kind::Histogram).push(Sample {
-                    labels: labels.clone(),
-                    value: SampleValue::Hist(h.window_snapshot()),
-                    exemplars: h.exemplars(),
-                });
-            }
         }
         for (k, slot) in &state.spans {
             for s in slot.values() {
@@ -623,6 +639,40 @@ mod tests {
     }
 
     #[test]
+    fn exemplars_keep_the_latest_per_bucket() {
+        let h = HistogramMetric::new(&[1.0, 10.0, 100.0]);
+        assert!(h.exemplars().is_empty(), "no slots before the first");
+        h.record_with_exemplar(0.5, "request_id=\"1\"");
+        h.record_with_exemplar(0.7, "request_id=\"2\"");
+        h.record_with_exemplar(50.0, "request_id=\"3\"");
+        h.record(5.0);
+        let ex = h.exemplars();
+        // Bucket 0 (≤1.0): latest wins.
+        assert_eq!(
+            ex[0],
+            Some(Exemplar {
+                labels: "request_id=\"2\"".into(),
+                value: 0.7
+            })
+        );
+        assert_eq!(ex[2].as_ref().map(|e| e.value), Some(50.0));
+        // A plain record takes no exemplar; the overflow bucket saw none.
+        assert!(ex[1].is_none() && ex[3].is_none());
+        assert_eq!(h.snapshot().buckets, vec![2, 1, 1, 0]);
+    }
+
+    #[test]
+    fn exemplar_slots_follow_the_bucket_layout() {
+        let h = HistogramMetric::new(&[1.0, 10.0, 100.0]);
+        h.record_with_exemplar(3.0, "t=\"x\"");
+        let ex = h.exemplars();
+        assert_eq!(ex.len(), 4, "3 bounds + overflow");
+        assert_eq!(ex[1].as_ref().map(|e| e.value), Some(3.0));
+        h.record_with_exemplar(500.0, "t=\"y\"");
+        assert_eq!(h.exemplars()[3].as_ref().map(|e| e.value), Some(500.0));
+    }
+
+    #[test]
     fn span_snapshot_is_structured_and_sorted() {
         global().span_stats("test.registry.span.b").record_ns(10);
         global().span_stats("test.registry.span.a").record_ns(20);
@@ -660,11 +710,7 @@ mod tests {
             state: Mutex::new(State::default()),
         };
         // Constructor assertions fire without the registry lock held,
-        // so neither rejection poisons it.
-        let zero_window = catch_unwind(AssertUnwindSafe(|| {
-            reg.rolling_histogram("reject.window", &[], &[1.0], 0.0)
-        }));
-        assert!(zero_window.is_err());
+        // so the rejection does not poison it.
         let bad_bounds = catch_unwind(AssertUnwindSafe(|| {
             reg.histogram("reject.bounds", &[2.0, 1.0])
         }));
@@ -673,7 +719,6 @@ mod tests {
         assert_eq!(reg.counter("reject.after").get(), 1);
         reg.histogram("reject.bounds", &[1.0, 2.0]).record(1.5);
         let text = crate::prom::render_families(&reg.gather());
-        assert!(!text.contains("reject_window"), "{text}");
         assert!(text.contains("reject_bounds_count 1\n"), "{text}");
         assert!(text.contains("reject_after_total 1\n"), "{text}");
     }
@@ -703,7 +748,7 @@ mod tests {
             h.record(v);
         }
         reg.describe("pin.window_us", "windowed latency");
-        reg.rolling_histogram("pin.window_us", &[("outcome", "ok")], &[1.0, 10.0], 60.0)
+        reg.labeled_histogram("pin.window_us", &[("outcome", "ok")], &[1.0, 10.0])
             .record_with_exemplar(4.0, "request_id=\"7\"");
         reg.span_stats("pin.span").record_ns(1_500_000_000);
         assert_eq!(
@@ -738,7 +783,7 @@ mod tests {
                 "# HELP pin_span_seconds_total wall-clock seconds inside pin.span\n",
                 "# TYPE pin_span_seconds_total counter\n",
                 "pin_span_seconds_total 1.5\n",
-                "# HELP pin_window_us windowed latency (rolling 60s window)\n",
+                "# HELP pin_window_us windowed latency\n",
                 "# TYPE pin_window_us histogram\n",
                 "pin_window_us_bucket{outcome=\"ok\",le=\"1\"} 0\n",
                 "pin_window_us_bucket{outcome=\"ok\",le=\"10\"} 1 # {request_id=\"7\"} 4\n",

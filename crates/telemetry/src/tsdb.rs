@@ -6,11 +6,11 @@
 //! scrape folds the gathered families into per-series ring buffers —
 //! counters as per-second rates (finite-difference against the
 //! previous scrape), gauges as raw values, histograms as p50/p99
-//! quantiles plus a count rate. Three downsampling tiers (1 s / 10 s /
-//! 1 m slots, [`SLOTS_PER_TIER`] slots each) cover six minutes, one
-//! hour and six hours of history in a fixed memory footprint;
-//! [`Tsdb::query`] picks the finest tier that spans the requested
-//! range.
+//! quantiles of their recent observations plus a count rate. Three
+//! downsampling tiers (1 s / 10 s / 1 m slots, [`SLOTS_PER_TIER`]
+//! slots each) cover six minutes, one hour and six hours of history in
+//! a fixed memory footprint; [`Tsdb::query`] picks the finest tier
+//! that spans the requested range.
 //!
 //! # Series naming
 //!
@@ -24,15 +24,32 @@
 //! * histogram `served_http_latency_us` →
 //!   `served_http_latency_us:p50`, `…:p99`, `…:rate` (count rate)
 //!
+//! # The quantile window
+//!
+//! The registry's histograms are cumulative, so this store is the one
+//! place that windows them. For each histogram sample it keeps two
+//! cumulative bucket snapshots, `older` and `newer`; the first scrape
+//! seeds both. A scrape that finds `newer` at least one finest-tier
+//! slot (1 s) old moves it to `older` and stores the current buckets
+//! as `newer`. `:p50` and `:p99` are the quantiles of the increments
+//! `current − older`: the last one to two seconds at a 25 ms scrape,
+//! the last interval at the default 1 s one. The estimate is the
+//! lifetime one — the upper edge of the bucket holding the rank,
+//! clamped to the histogram's min and max. A window without
+//! observations pushes no point, so missing data never pages, and a
+//! bucket that falls (a restarted process) restarts the baseline
+//! without one, as a counter reset does for `:rate`.
+//!
 //! # Determinism
 //!
-//! Like [`crate::rolling`], the wall clock is injected: the scrape and
-//! query cores take milliseconds-since-start and the convenience
-//! wrappers read the store's own monotonic clock. Tests drive
+//! The wall clock is injected: the scrape and query cores take
+//! milliseconds-since-start and the convenience wrappers read the
+//! store's own monotonic clock. Tests drive
 //! [`Tsdb::scrape_families_at_ms`] with synthetic families and
 //! timestamps and get bit-exact series.
 
 use crate::prom::{rendered_name, Family, Kind, SampleValue};
+use crate::registry::{bucket_quantile, HistogramSnapshot};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -182,9 +199,56 @@ impl Series {
     }
 }
 
+/// One histogram sample's quantile baseline: the two cumulative bucket
+/// snapshots of the window rule (module docs).
+struct Baseline {
+    older: Vec<u64>,
+    newer: Vec<u64>,
+    newer_ms: u64,
+}
+
+impl Baseline {
+    fn seed(buckets: &[u64], now_ms: u64) -> Self {
+        Self {
+            older: buckets.to_vec(),
+            newer: buckets.to_vec(),
+            newer_ms: now_ms,
+        }
+    }
+
+    /// Folds the cumulative `h` read at `now_ms` into the baseline and
+    /// returns its `(p50, p99)` over the window, or `None` when the
+    /// window holds no observation or a bucket fell (which reseeds).
+    fn advance(&mut self, h: &HistogramSnapshot, now_ms: u64) -> Option<(f64, f64)> {
+        let fell = h.buckets.len() != self.newer.len()
+            || h.buckets.iter().zip(&self.newer).any(|(c, n)| c < n);
+        if fell {
+            *self = Self::seed(&h.buckets, now_ms);
+            return None;
+        }
+        if now_ms.saturating_sub(self.newer_ms) >= TIER_SECS[0] * 1000 {
+            std::mem::swap(&mut self.older, &mut self.newer);
+            self.newer.copy_from_slice(&h.buckets);
+            self.newer_ms = now_ms;
+        }
+        let increments = || h.buckets.iter().zip(&self.older).map(|(c, o)| c - o);
+        let count: u64 = increments().sum();
+        // A read torn by a histogram's first record can show a bucket
+        // before its min and max.
+        let range = h
+            .min
+            .zip(h.max)
+            .filter(|(min, max)| count > 0 && min <= max)?;
+        let q = |q| bucket_quantile(&h.bounds, increments(), count, range, q);
+        Some((q(0.50), q(0.99)))
+    }
+}
+
 #[derive(Default)]
 struct TsdbState {
     series: BTreeMap<String, Series>,
+    /// Histogram sample id (`name{labels}`) → its quantile baseline.
+    baselines: BTreeMap<String, Baseline>,
     scrapes: u64,
     dropped_series: u64,
 }
@@ -255,8 +319,20 @@ impl Tsdb {
                         }
                     }
                     (SampleValue::Hist(h), _) => {
-                        for (q, suffix) in [(0.50, ":p50"), (0.99, ":p99")] {
-                            if let Some(v) = h.percentile(q) {
+                        let id = tagged("");
+                        let quantiles = match state.baselines.get_mut(&id) {
+                            Some(baseline) => baseline.advance(h, now_ms),
+                            None => {
+                                if state.baselines.len() < MAX_SERIES {
+                                    state
+                                        .baselines
+                                        .insert(id, Baseline::seed(&h.buckets, now_ms));
+                                }
+                                None
+                            }
+                        };
+                        if let Some((p50, p99)) = quantiles {
+                            for (suffix, v) in [(":p50", p50), (":p99", p99)] {
                                 if let Some(s) = state.series_mut(&tagged(suffix)) {
                                     s.push(now_ms, v);
                                 }
@@ -346,7 +422,6 @@ fn series_id(base: &str, labels: &str, suffix: &str) -> String {
 mod tests {
     use super::*;
     use crate::prom::{Kind, Sample, SampleValue};
-    use crate::registry::HistogramSnapshot;
 
     fn counter_family(name: &str, v: f64) -> Family {
         Family {
@@ -463,6 +538,77 @@ mod tests {
         assert_eq!(rate.points.last().unwrap().value, 100.0);
         // The empty first snapshot contributed no quantile points.
         assert_eq!(p50.points.len(), 1);
+    }
+
+    fn values(db: &Tsdb, id: &str, now_ms: u64) -> Vec<(u64, f64)> {
+        db.query_at_ms(id, 60, now_ms)
+            .points
+            .iter()
+            .map(|p| (p.t_ms, p.value))
+            .collect()
+    }
+
+    #[test]
+    fn a_slow_observation_leaves_p99_within_two_seconds() {
+        let db = Tsdb::new();
+        // Ten fast observations before every 250 ms scrape, and one
+        // slow one (in the 100 bucket, clamped to max 90) before the
+        // scrape at 250 ms.
+        let mut buckets = vec![0, 0, 0, 0];
+        for step in 0..16u64 {
+            if step > 0 {
+                buckets[0] += 10;
+            }
+            if step == 1 {
+                buckets[2] += 1;
+            }
+            db.scrape_families_at_ms(&[hist_family("lat", "", buckets.clone())], step * 250);
+        }
+        // The rotation at 1 s keeps the slow observation in `older`'s
+        // window; the one at 2 s, 1.75 s after it, drops it. Fast
+        // traffic keeps every later slot filled.
+        assert_eq!(
+            values(&db, "lat:p99", 3_750),
+            vec![(0, 90.0), (1_000, 90.0), (2_000, 1.0), (3_000, 1.0)]
+        );
+        assert_eq!(values(&db, "lat:p50", 3_750).len(), 4);
+    }
+
+    #[test]
+    fn an_idle_scrape_pushes_no_quantile_and_a_zero_rate() {
+        let db = Tsdb::new();
+        let idle = || [hist_family("lat", "", vec![5, 0, 0, 0])];
+        db.scrape_families_at_ms(&idle(), 0);
+        db.scrape_families_at_ms(&idle(), 1_000);
+        db.scrape_families_at_ms(&idle(), 1_500);
+        assert!(values(&db, "lat:p50", 1_500).is_empty());
+        assert!(values(&db, "lat:p99", 1_500).is_empty());
+        assert_eq!(values(&db, "lat:rate", 1_500), vec![(1_000, 0.0)]);
+        // The next observation brings the quantiles back.
+        db.scrape_families_at_ms(&[hist_family("lat", "", vec![5, 1, 0, 0])], 2_000);
+        assert_eq!(values(&db, "lat:p50", 2_000), vec![(2_000, 10.0)]);
+    }
+
+    #[test]
+    fn a_falling_bucket_restarts_the_baseline() {
+        let db = Tsdb::new();
+        let scrape = |buckets: Vec<u64>, t_ms| {
+            db.scrape_families_at_ms(&[hist_family("lat", "", buckets)], t_ms);
+        };
+        scrape(vec![50, 0, 0, 0], 0);
+        scrape(vec![60, 0, 0, 0], 1_000);
+        scrape(vec![0, 3, 0, 0], 2_000); // the process restarted
+        scrape(vec![0, 5, 0, 0], 3_000);
+        // No point at the reset; afterwards only the post-reset
+        // increments count.
+        assert_eq!(
+            values(&db, "lat:p50", 3_000),
+            vec![(1_000, 1.0), (3_000, 10.0)]
+        );
+        assert_eq!(
+            values(&db, "lat:rate", 3_000),
+            vec![(1_000, 10.0), (3_000, 2.0)]
+        );
     }
 
     #[test]

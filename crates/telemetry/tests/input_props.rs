@@ -8,9 +8,13 @@
 //! * `Tsdb::query_at_ms` and `window_mean_at_ms` answer any range and
 //!   clock without overflowing: the finest covering tier answers, an
 //!   over-long range the coarsest, and every point lies in the window.
+//! * The TSDB's histogram quantiles, over any cumulative bucket
+//!   sequence with resets and torn reads, never panic, keep
+//!   `p50 ≤ p99`, and lie within the histogram's min and max.
 
 use accordion_telemetry::alerts::{parse_rules, AlertKind};
 use accordion_telemetry::prom::{Family, Kind, Sample, SampleValue};
+use accordion_telemetry::registry::HistogramSnapshot;
 use accordion_telemetry::tsdb::{Tsdb, SLOTS_PER_TIER, TIER_SECS};
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -124,6 +128,34 @@ fn gauge(v: f64) -> Family {
     }
 }
 
+/// Integer bucket edges, so every quantile (an edge, the min or the
+/// max) and every slot sum is exact.
+const BOUNDS: [f64; 6] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
+
+/// The histogram family `h` holding cumulative `buckets` observed
+/// within `range`. A read torn by the first record shows its bucket
+/// beside no min and max (`None`) or beside their initial `+∞`/`−∞`.
+fn histogram(buckets: &[u64], range: Option<(f64, f64)>) -> Family {
+    let count = buckets.iter().sum();
+    Family {
+        name: "h".into(),
+        help: "test".into(),
+        kind: Kind::Histogram,
+        samples: vec![Sample {
+            labels: String::new(),
+            value: SampleValue::Hist(HistogramSnapshot {
+                bounds: BOUNDS.to_vec(),
+                buckets: buckets.to_vec(),
+                count,
+                sum: 0.0,
+                min: range.map(|r| r.0),
+                max: range.map(|r| r.1),
+            }),
+            exemplars: Vec::new(),
+        }],
+    }
+}
+
 /// A `u64` with a uniformly drawn bit length, so small, mid-range and
 /// extreme values (up to `u64::MAX`) all occur.
 fn any_u64(rng: &mut TestRng) -> u64 {
@@ -181,6 +213,45 @@ proptest! {
             prop_assert!(r.points.windows(2).all(|w| w[0].t_ms < w[1].t_ms));
             let mean = db.window_mean_at_ms(metric, range_secs, now_ms);
             prop_assert_eq!(mean.is_some(), !r.points.is_empty());
+        }
+    }
+
+    #[test]
+    fn histogram_quantiles_stay_ordered_and_in_range(seed in 0u64..1_000_000) {
+        let mut rng = TestRng::deterministic(&format!("tsdb-histogram-{seed}"));
+        let (a, b) = (rng.next_u64() % 48, rng.next_u64() % 48);
+        let range = (a.min(b) as f64, a.max(b) as f64);
+        let db = Tsdb::new();
+        let mut buckets = [0u64; BOUNDS.len() + 1];
+        let mut now_ms = 0;
+        for _ in 0..rng.next_u64() % 64 {
+            if rng.next_u64().is_multiple_of(8) {
+                buckets = [0; BOUNDS.len() + 1]; // the process restarted
+            }
+            for bucket in &mut buckets {
+                if rng.next_u64().is_multiple_of(3) {
+                    *bucket += rng.next_u64() % 5;
+                }
+            }
+            let read = match rng.next_u64() % 16 {
+                0 => None,
+                1 => Some((f64::INFINITY, f64::NEG_INFINITY)),
+                _ => Some(range),
+            };
+            let family = histogram(&buckets, read);
+            now_ms += rng.next_u64() % 1_500;
+            db.scrape_families_at_ms(&[family], now_ms);
+        }
+        let p50 = db.query_at_ms("h:p50", 360, now_ms).points;
+        let p99 = db.query_at_ms("h:p99", 360, now_ms).points;
+        prop_assert_eq!(p50.len(), p99.len());
+        for (lo, hi) in p50.iter().zip(&p99) {
+            prop_assert_eq!(lo.t_ms, hi.t_ms);
+            prop_assert!(lo.value <= hi.value, "p50 {} above p99 {}", lo.value, hi.value);
+            prop_assert!(
+                range.0 <= lo.value && hi.value <= range.1,
+                "{:?} outside {:?}", (lo, hi), range
+            );
         }
     }
 }

@@ -91,26 +91,32 @@ fn histogram_buckets_are_cumulative_and_match_count() {
 }
 
 #[test]
-fn rolling_histograms_render_with_window_help() {
+fn labeled_histograms_compose_with_le_and_render_exemplars() {
     let reg = global();
-    reg.describe("promtest.rolling", "rolling test histogram");
-    reg.rolling_histogram(
-        "promtest.rolling",
+    reg.describe("promtest.labeled_hist", "labelled test histogram");
+    reg.labeled_histogram(
+        "promtest.labeled_hist",
         &[("outcome", "ok")],
         &exponential_bounds(1.0, 2.0, 6),
-        30.0,
     )
-    .record(4.0);
+    .record_with_exemplar(4.0, "request_id=\"9\"");
     let text = prom::render(reg);
     assert!(
-        text.contains("# HELP promtest_rolling rolling test histogram (rolling 30s window)\n"),
+        text.contains("# HELP promtest_labeled_hist labelled test histogram\n"),
         "{text}"
     );
     assert!(
-        text.contains("promtest_rolling_bucket{outcome=\"ok\",le=\""),
+        text.contains("promtest_labeled_hist_bucket{outcome=\"ok\",le=\""),
         "labels compose with le: {text}"
     );
-    assert!(text.contains("promtest_rolling_count{outcome=\"ok\"} 1\n"));
+    assert!(
+        text.contains(
+            "promtest_labeled_hist_bucket{outcome=\"ok\",le=\"4\"} 1 # {request_id=\"9\"} 4\n"
+        ),
+        "the exemplar decorates its bucket: {text}"
+    );
+    assert!(text.contains("promtest_labeled_hist_count{outcome=\"ok\"} 1\n"));
+    prom::lint(&text).expect("exemplared labelled histogram lints clean");
 }
 
 #[test]

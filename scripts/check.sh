@@ -128,6 +128,7 @@ if [ "$fast" -eq 0 ]; then
         dash --once --addr "127.0.0.1:$serve_port" > "$smoke_dir/dash.txt"
     grep -q "accordion dash" "$smoke_dir/dash.txt"
     grep -q "ok-p99-latency" "$smoke_dir/dash.txt"
+    grep -q "chip miss" "$smoke_dir/dash.txt"
 
     curl -sf -X POST "http://127.0.0.1:$serve_port/v1/shutdown" > /dev/null
     wait "$serve_pid"

@@ -8,6 +8,7 @@
 //! concurrently-running servers would interleave their effects.
 
 use accordion_served::{start, ServeConfig};
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Mutex;
@@ -69,8 +70,8 @@ fn warm_popcache() {
 
 /// Drives one fixed, serial request sequence and returns the access
 /// log bytes. `/metrics` and `/healthz` are deliberately absent from
-/// the mix: their response bodies embed wall-clock and rolling-window
-/// values, so their `bytes` field varies run to run.
+/// the mix: their response bodies embed wall-clock and latency values,
+/// so their `bytes` field varies run to run.
 fn access_log_for(request_jobs: usize, log_path: &std::path::Path) -> String {
     let handle = start(ServeConfig {
         addr: "127.0.0.1:0".into(),
@@ -163,10 +164,49 @@ fn live_metrics_document_lints_clean() {
         "served_uptime_seconds",
         "served_queue_depth",
         "served_http_in_flight",
-        "served_popcache_hit_ratio",
-        "(rolling 60s window)",
     ] {
         assert!(text.contains(needle), "{needle} missing from /metrics");
+    }
+
+    // The per-outcome histogram counts every answered request of its
+    // class, as the per-outcome counter does.
+    let outcomes: Vec<(&str, &str)> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("served_http_requests_by_outcome_total{outcome=\""))
+        .filter_map(|l| l.split_once("\"} "))
+        .collect();
+    assert!(outcomes.iter().any(|(o, _)| *o == "ok"), "{outcomes:?}");
+    for (outcome, requests) in outcomes {
+        let count =
+            format!("served_http_request_latency_us_count{{outcome=\"{outcome}\"}} {requests}\n");
+        assert!(text.contains(&count), "{count} missing from /metrics");
+    }
+
+    // Its buckets and count are cumulative: a later scrape reads none
+    // of them lower.
+    let series = |text: &str| -> Vec<(String, f64)> {
+        text.lines()
+            .filter(|l| {
+                l.starts_with("served_http_request_latency_us_bucket{")
+                    || l.starts_with("served_http_request_latency_us_count{")
+            })
+            .map(|l| {
+                let (name, rest) = l.split_once("} ").expect("labelled sample");
+                let value = rest.split(' ').next().expect("value");
+                (name.to_string(), value.parse().expect("numeric sample"))
+            })
+            .collect()
+    };
+    let first = series(text);
+    assert!(post(addr, "/v1/simulate", &small_sim(5)).starts_with("HTTP/1.1 200"));
+    let second = get(addr, "/metrics");
+    let second: BTreeMap<String, f64> = series(body_of(&second)).into_iter().collect();
+    for (name, before) in first {
+        let after = second.get(&name).copied();
+        assert!(
+            after.is_some_and(|after| after >= before),
+            "{name}: {before} then {after:?}"
+        );
     }
     handle.shutdown();
 }

@@ -17,10 +17,10 @@
 //!   `/healthz`), and a shed burn-rate rule measures a finite burn
 //!   while nothing else is answered.
 //!
-//! Timing: the latency histogram window is shrunk to 1.5 s (see
-//! `ServeConfig::latency_window_s`) so the spike decays within the
-//! test budget; windows are generous multiples of the 25 ms scrape so
-//! the sequence is robust under CI jitter.
+//! Timing: at the 25 ms scrape, the TSDB derives each p99 point from
+//! the last one to two seconds of observations, so the spike decays
+//! within the test budget; windows are generous multiples of the scrape
+//! so the sequence is robust under CI jitter.
 
 use accordion_served::{start, ServeConfig};
 use accordion_telemetry::json::{self, Json};
@@ -138,7 +138,6 @@ fn slo_alert_walks_full_lifecycle_with_visible_spike_and_exemplar() {
         debug_endpoints: true,
         scrape_interval: Duration::from_millis(25),
         alert_rules: Some(rules_path.to_string_lossy().into_owned()),
-        latency_window_s: 1.5,
         ..ServeConfig::default()
     })
     .expect("bind server");
@@ -191,8 +190,8 @@ fn slo_alert_walks_full_lifecycle_with_visible_spike_and_exemplar() {
         "gauge should show one firing alert"
     );
 
-    // Resolution: stop spiking; the spike ages out of the 1.5 s
-    // histogram window, the fast window mean recovers, and the rule
+    // Resolution: stop spiking; the spike ages out of the TSDB's p99
+    // window, the fast window mean recovers, and the rule
     // parks in the sticky resolved state.
     wait_for_state(addr, "resolved", Duration::from_secs(15), &mut seen);
     let positions: Vec<usize> = ["pending", "firing", "resolved"]
